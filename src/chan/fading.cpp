@@ -29,9 +29,8 @@ channel_profile channel_profile::mobile(double mean_snr_db)
     return {"mobile", mean_snr_db, 4.0, sim::from_ms(24.9 * 70.0 / 30.0)};
 }
 
-double fading_channel::snr_db(sim::tick t)
+double fading_channel::step(sim::tick t)
 {
-    if (t <= last_) return snr_db_;
     if (profile_.coherence <= 0 || profile_.sigma_db <= 0.0) {
         last_ = t;
         snr_db_ = profile_.mean_snr_db;
@@ -51,10 +50,22 @@ double fading_channel::snr_db(sim::tick t)
     }
     const double rho = memo_rho_;
     const double noise_sigma = memo_sigma_;
-    snr_db_ = profile_.mean_snr_db + rho * (snr_db_ - profile_.mean_snr_db) +
-              rng_.normal(0.0, noise_sigma);
+    // z * sigma + 0.0 is exactly what sim::rng::normal(0.0, sigma) returns
+    // for the standard normal z it draws, and like it a zero sigma (rho
+    // rounded to 1) draws nothing.
+    const double noise = noise_sigma <= 0.0 ? 0.0 : next_normal() * noise_sigma + 0.0;
+    snr_db_ = profile_.mean_snr_db + rho * (snr_db_ - profile_.mean_snr_db) + noise;
     last_ = t;
     return snr_db_;
+}
+
+double fading_channel::next_normal()
+{
+    if (next_normal_ == normals_.size()) {
+        for (double& z : normals_) z = rng_.normal(0.0, 1.0);
+        next_normal_ = 0;
+    }
+    return normals_[next_normal_++];
 }
 
 }  // namespace l4span::chan

@@ -3,6 +3,9 @@
 // chan::link_model (the channel_profile knobs live in link_model.h).
 #pragma once
 
+#include <array>
+#include <cstddef>
+
 #include "chan/link_model.h"
 #include "sim/rng.h"
 #include "sim/time.h"
@@ -17,15 +20,31 @@ public:
     }
 
     // SNR at time `t`; advances the process (t must be non-decreasing).
-    double snr_db(sim::tick t) override;
+    double snr_db(sim::tick t) override
+    {
+        if (t <= last_) return snr_db_;
+        return step(t);
+    }
+
+    // Same answer as link_model::mcs; called through the final class (the
+    // gNB slot loop does) it binds statically and inlines the fast path.
+    int mcs(sim::tick t) override { return mcs_from_snr(snr_db(t)); }
 
     const channel_profile& profile() const override { return profile_; }
 
 private:
+    double step(sim::tick t);
+    double next_normal();
+
     channel_profile profile_;
     sim::rng rng_;
     double snr_db_;
     sim::tick last_ = 0;
+    // Standard normals drawn ahead from rng_, in blocks: the engine is
+    // private to this channel, so drawing a block early consumes exactly
+    // the values one draw per step would, in the same order.
+    std::array<double, 32> normals_{};
+    std::size_t next_normal_ = normals_.size();
     // Memoized OU step coefficients for the last-seen dt (the slot period
     // in steady state, so the exp/sqrt run once, not once per sample).
     sim::tick memo_dt_ = -1;

@@ -19,18 +19,26 @@ constexpr std::array<mcs_entry, k_num_mcs> k_table{{
     {24, 6.5703, 22.1}, {25, 6.9141, 23.3}, {26, 7.1602, 24.3}, {27, 7.4063, 25.5},
 }};
 
+constexpr bool thresholds_ascend()
+{
+    for (std::size_t i = 0; i < k_table.size(); ++i) {
+        if (k_table[i].index != static_cast<int>(i)) return false;
+        if (i > 0 && !(k_table[i - 1].min_snr_db < k_table[i].min_snr_db)) return false;
+    }
+    return true;
+}
+static_assert(thresholds_ascend(), "mcs_from_snr counts met thresholds");
+
 }  // namespace
 
 int mcs_from_snr(double snr_db)
 {
-    int best = -1;
-    for (const auto& e : k_table) {
-        if (snr_db >= e.min_snr_db)
-            best = e.index;
-        else
-            break;
-    }
-    return best;
+    // The thresholds ascend, so the number met is one past the highest MCS
+    // met: a branch-free count instead of a scan that stops early. NaN
+    // meets none (-1).
+    int met = 0;
+    for (const auto& e : k_table) met += snr_db >= e.min_snr_db ? 1 : 0;
+    return met - 1;
 }
 
 double spectral_efficiency(int mcs)

@@ -1,6 +1,6 @@
 #include "ran/gnb.h"
 
-#include <cassert>
+#include <algorithm>
 #include <stdexcept>
 
 namespace l4span::ran {
@@ -27,16 +27,19 @@ rnti_t gnb::add_ue(std::unique_ptr<chan::link_model> link)
 
 rnti_t gnb::add_ue_impl(std::unique_ptr<chan::link_model> link)
 {
+    auto* fading = dynamic_cast<chan::fading_channel*>(link.get());
     auto ue = std::make_unique<ue_ctx>(ue_ctx{
         next_rnti_,
         static_cast<std::uint32_t>(ues_.size()),
         std::move(link),
+        fading,
         sdap_entity{},
         {},
         {},
     });
     allocator_.add_ue();
     rnti_slots_.push_back(ue.get());
+    attached_.push_back(ue.get());
     ues_.push_back(std::move(ue));
     return next_rnti_++;
 }
@@ -49,6 +52,7 @@ drb_id_t gnb::add_drb(rnti_t ue, rlc_config cfg)
     d.id = id;
     d.tx = std::make_unique<rlc_tx>(ue, id, cfg, pool_);
     d.rx = std::make_unique<rlc_rx>(cfg.mode, pool_);
+    d.tx->set_backlog_mirror(&u.backlog);
 
     rlc_tx* tx = d.tx.get();
     rlc_rx* rx = d.rx.get();
@@ -139,7 +143,7 @@ ue_handover_context gnb::detach_ue(rnti_t ue)
     u.drbs.clear();
     for (auto& tb : u.pending_retx) release_chunks(tb.chunks);
     u.pending_retx.clear();
-    u.active = false;
+    std::erase(attached_, &u);
     u.in_outage = false;
     u.harq_fail_streak = 0;
     u.rlf_declared = false;
@@ -231,26 +235,18 @@ void gnb::declare_rlf(ue_ctx& u)
     });
 }
 
-std::size_t gnb::active_ues() const
-{
-    std::size_t n = 0;
-    for (const auto& u : ues_)
-        if (u->active) ++n;
-    return n;
-}
-
 std::vector<rnti_t> gnb::active_rntis() const
 {
     std::vector<rnti_t> out;
-    for (const auto& u : ues_)
-        if (u->active) out.push_back(u->rnti);
+    out.reserve(attached_.size());
+    for (const ue_ctx* u : attached_) out.push_back(u->rnti);
     return out;
 }
 
 void gnb::set_delay_handler(rlc_tx::delay_handler h)
 {
     on_delay_ = std::move(h);
-    for (auto& u : ues_)
+    for (ue_ctx* u : attached_)
         for (auto& d : u->drbs) d.tx->set_delay_handler(on_delay_);
 }
 
@@ -357,12 +353,19 @@ void gnb::on_slot()
 
     if (dl) {
         int available_prb = cfg_.mac.n_prb;
+        // Round-robin never reads the PF average rates, so only PF keeps them.
+        const bool pf = cfg_.mac.policy == sched_policy::proportional_fair;
+
+        // Every pass below walks the attached UEs only: tombstones hold no
+        // bearers, backlog or pending retransmissions. Nothing in a slot
+        // detaches a UE synchronously (RLF and handover run from their own
+        // events), so the list is stable while it is walked.
 
         // HARQ retransmissions claim the slot first. conclude_tb never
         // pushes into pending_retx synchronously (retransmissions arrive
         // via a scheduled HARQ-RTT event), so iterating in place is safe
         // and keeps the deque's capacity instead of churning it per slot.
-        for (auto& u : ues_) {
+        for (ue_ctx* u : attached_) {
             if (u->pending_retx.empty()) continue;
             for (auto& tb : u->pending_retx) {
                 available_prb -= tb.prbs;
@@ -381,12 +384,9 @@ void gnb::on_slot()
         who.clear();
         mcs_of.clear();
         const double eff_re = 168.0 * (1.0 - 0.14) * cap_factor;
-        for (auto& u : ues_) {
-            if (!u->active) continue;  // detached tombstone: no bearers
-            std::uint64_t backlog = 0;
-            for (auto& d : u->drbs) backlog += d.tx->backlog_bytes();
-            if (backlog == 0) continue;
-            const int mcs = u->channel->mcs(now);
+        for (ue_ctx* u : attached_) {
+            if (u->backlog == 0) continue;
+            const int mcs = u->fading ? u->fading->mcs(now) : u->channel->mcs(now);
             if (mcs < 0) {
                 // Below MCS0: the query still happened, so a recording must
                 // carry it for the replay to consult the trace identically.
@@ -395,10 +395,10 @@ void gnb::on_slot()
             }
             sched_input si;
             si.ue_index = u->index;
-            si.backlog_bytes = backlog;
+            si.backlog_bytes = u->backlog;
             si.bytes_per_prb = eff_re * chan::spectral_efficiency(mcs) / 8.0;
             inputs.push_back(si);
-            who.push_back(u.get());
+            who.push_back(u);
             mcs_of.push_back(mcs);
         }
 
@@ -409,9 +409,13 @@ void gnb::on_slot()
             ue_ctx& u = *who[i];
             int prbs = grants[i];
             // A DCI replay cannot grant more PRBs than the recorded slot
-            // carried; fading channels return -1 (no cap).
-            const int cap = u.channel->prb_cap(now);
-            if (cap >= 0 && prbs > cap) prbs = cap;
+            // carried; fading channels have no cap. Asking only when PRBs
+            // were granted is safe: the replay already answered mcs() for
+            // this tick, and a repeated query at one tick is a no-op.
+            if (prbs > 0 && !u.fading) {
+                const int cap = u.channel->prb_cap(now);
+                if (cap >= 0 && prbs > cap) prbs = cap;
+            }
             double served = 0.0;
             if (prbs > 0) {
                 std::uint32_t grant_bytes =
@@ -446,16 +450,23 @@ void gnb::on_slot()
                     }
                 }
             }
-            allocator_.update_average(u.index, served);
+            if (pf) allocator_.update_average(u.index, served);
             if (on_linklog_)
                 on_linklog_(u.rnti, now, mcs_of[i], prbs,
                             static_cast<std::uint32_t>(served));
         }
-        // UEs not considered this slot (no backlog) still age their PF average.
-        considered_scratch_.assign(ues_.size(), 0);
-        for (const auto* w : who) considered_scratch_[w->index] = 1;
-        for (auto& u : ues_)
-            if (!considered_scratch_[u->index]) allocator_.update_average(u->index, 0.0);
+        if (pf) {
+            // Attached UEs not considered this slot (no backlog, or below
+            // MCS0) still age their PF average. `who` is a subsequence of
+            // attached_, so one merged walk finds them.
+            std::size_t next = 0;
+            for (ue_ctx* u : attached_) {
+                if (next < who.size() && who[next] == u)
+                    ++next;
+                else
+                    allocator_.update_average(u->index, 0.0);
+            }
+        }
     }
 
     loop_.schedule_after(cfg_.mac.slot, [this] { on_slot(); });

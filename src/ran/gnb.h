@@ -143,8 +143,12 @@ public:
     // Attached (non-tombstone) UEs, in stable scheduler-index order — the
     // chaos-soak "no dangling RNTI" invariant compares this against the
     // scenario layer's view.
-    std::size_t active_ues() const;
+    std::size_t active_ues() const { return attached_.size(); }
     std::vector<rnti_t> active_rntis() const;
+    // The UE's downlink backlog as the scheduler sees it: the per-UE total
+    // its RLC entities mirror, always equal to the sum of
+    // rlc(ue, drb).backlog_bytes() over the UE's bearers.
+    std::uint64_t backlog_bytes(rnti_t ue) { return find_ue(ue).backlog; }
     const gnb_config& config() const { return cfg_; }
     std::uint64_t slots_elapsed() const { return slot_count_; }
 
@@ -173,13 +177,16 @@ private:
         rnti_t rnti;
         std::uint32_t index;  // dense scheduler index
         std::unique_ptr<chan::link_model> channel;
+        // `channel` when it is a fading model, else nullptr: the slot loop
+        // queries it through the final class, without a virtual call.
+        chan::fading_channel* fading = nullptr;
         sdap_entity sdap;
         std::vector<drb_ctx> drbs;
         std::vector<harq_tb> pending_retx;  // due HARQ retransmissions
         sim::tick last_ul_release = 0;      // keeps the uplink FIFO per UE
-        // Detached by handover: the slot stays (the PRB allocator's dense
-        // index space never shrinks) but carries no bearers or backlog.
-        bool active = true;
+        // Sum of the bearers' RLC backlog, kept current by each rlc_tx
+        // (set_backlog_mirror); zero once detached.
+        std::uint64_t backlog = 0;
         // Injected radio outage (fault injection): TBs fail, RLF detection
         // is armed. Cleared by end_outage or detach.
         bool in_outage = false;
@@ -215,7 +222,13 @@ private:
     // in-flight TB chunks) — one pooled slot per live SDU instead of a
     // copy per hop.
     net::packet_pool pool_;
+    // Every UE ever added, indexed by dense scheduler index. A UE detached
+    // by handover stays as a tombstone (the PRB allocator's index space
+    // never shrinks) but carries no bearers or backlog.
     std::vector<std::unique_ptr<ue_ctx>> ues_;
+    // The attached UEs, in scheduler-index order: the slot loop walks this
+    // list, so its cost does not grow with the tombstones.
+    std::vector<ue_ctx*> attached_;
     // RNTIs are assigned sequentially from 1 and never reused, so the
     // lookup table is a dense vector indexed by rnti-1 (nullptr after
     // detach), not a hash map — try_ue is one bounds check and a load.
@@ -231,11 +244,7 @@ private:
     rnti_t next_rnti_ = 1;
     std::uint64_t slot_count_ = 0;
     bool started_ = false;
-    // Per-slot scratch: which dense UE indices the scheduler considered.
-    // Kept as a member so a 256-UE cell does not churn an allocation per
-    // slot (the old code was an O(UEs x backlogged) pointer scan).
-    std::vector<std::uint8_t> considered_scratch_;
-    // More per-slot scratch (scheduler inputs, grants, the per-UE DRB
+    // Per-slot scratch (scheduler inputs, grants, the per-UE DRB
     // round-robin list) and a small free list of chunk vectors so the
     // pull -> HARQ -> deliver pipeline reuses capacity instead of
     // allocating a vector per transport block.

@@ -17,6 +17,7 @@ bool rlc_tx::enqueue(pdcp_sdu sdu, sim::tick now)
     q.pkt = pool_.put(std::move(sdu.pkt));
     if (queue_.empty() && retx_queue_.empty()) q.head_time = now;
     fresh_bytes_ += q.size;
+    mirror_backlog(q.size);
     queue_.push_back(q);
     return true;
 }
@@ -90,6 +91,7 @@ void rlc_tx::pull(std::uint32_t grant_bytes, sim::tick now, std::vector<tb_chunk
         txed_any = true;
     }
 
+    mirror_backlog(-static_cast<std::uint64_t>(grant_bytes - remaining));
     if (txed_any) emit_status(now);
 }
 
@@ -137,6 +139,7 @@ rlc_tx::context rlc_tx::export_context()
     queue_.clear();
     retx_queue_.clear();
     awaiting_delivery_.clear();
+    mirror_backlog(-backlog_bytes());
     fresh_bytes_ = 0;
     retx_bytes_ = 0;
     return ctx;
@@ -154,6 +157,7 @@ void rlc_tx::restore(context ctx, sim::tick now)
         q.pkt = pool_.put(std::move(s.pkt));
         if (queue_.empty()) q.head_time = now;
         fresh_bytes_ += q.size;
+        mirror_backlog(q.size);
         queue_.push_back(q);
     }
 }
@@ -183,6 +187,7 @@ void rlc_tx::on_tb_lost(const std::vector<tb_chunk>& chunks, sim::tick now)
         r.size = c.sdu_total;
         r.retx_count = prior_retx + 1;
         retx_bytes_ += r.size;
+        mirror_backlog(r.size);
         retx_queue_.push_back(r);
         awaiting_delivery_.erase(c.sn);
     }

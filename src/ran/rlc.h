@@ -96,6 +96,10 @@ public:
     void set_status_handler(status_handler h) { on_status_ = std::move(h); }
     void set_delay_handler(delay_handler h) { on_delay_ = std::move(h); }
     void set_discard_handler(discard_handler h) { on_discard_ = std::move(h); }
+    // Mirrors every backlog_bytes() change into `*total` — the gNB's per-UE
+    // backlog, shared by all of a UE's bearers — so the slot loop reads one
+    // counter instead of summing the bearers. Set it on an empty entity.
+    void set_backlog_mirror(std::uint64_t* total) { backlog_mirror_ = total; }
 
     // --- X2/Xn handover (gnb::detach_ue / attach_ue) ---
     // Everything the target cell's RLC entity needs to resume the bearer:
@@ -146,6 +150,12 @@ private:
     };
 
     void emit_status(sim::tick now);
+    // Backlog accounting shared with the mirror (unsigned wrap-around makes
+    // a "negative" delta exact).
+    void mirror_backlog(std::uint64_t delta)
+    {
+        if (backlog_mirror_) *backlog_mirror_ += delta;
+    }
 
     rnti_t ue_;
     drb_id_t drb_;
@@ -156,6 +166,7 @@ private:
     std::deque<retx_sdu> retx_queue_;   // AM retransmissions (priority)
     std::uint64_t fresh_bytes_ = 0;
     std::uint64_t retx_bytes_ = 0;
+    std::uint64_t* backlog_mirror_ = nullptr;
 
     sn_ring<awaiting_sdu> awaiting_delivery_;
 

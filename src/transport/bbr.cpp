@@ -7,19 +7,11 @@ constexpr double k_startup_gain = 2.885;
 constexpr double k_drain_gain = 1.0 / 2.885;
 constexpr double k_cycle_gains[] = {1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0};
 constexpr int k_cycle_len = 8;
-constexpr int k_bw_window_rounds = 10;
 constexpr sim::tick k_min_rtt_expiry = sim::from_sec(10);
 constexpr sim::tick k_probe_rtt_duration = sim::from_ms(200);
 constexpr double k_ecn_beta = 0.3;       // v2 inflight_hi reduction factor
 constexpr double k_ecn_threshold = 0.05; // CE fraction that triggers a response
 }  // namespace
-
-double bbr::max_bw_bps() const
-{
-    double best = 0.0;
-    for (const auto& [round, bps] : bw_samples_) best = std::max(best, bps);
-    return best;
-}
 
 std::uint64_t bbr::bdp_bytes(double gain) const
 {
@@ -70,12 +62,8 @@ void bbr::on_ack(const ack_sample& s)
     ce_bytes_rtt_ += static_cast<std::uint64_t>(s.ce_fraction * s.newly_acked);
 
     // Bandwidth filter.
-    if (s.delivery_rate_bps > 0.0 && !s.app_limited) {
-        bw_samples_.emplace_back(round_, s.delivery_rate_bps);
-        while (!bw_samples_.empty() &&
-               bw_samples_.front().first + k_bw_window_rounds < round_)
-            bw_samples_.pop_front();
-    }
+    if (s.delivery_rate_bps > 0.0 && !s.app_limited)
+        bw_filter_.push(round_, s.delivery_rate_bps);
 
     // Min-RTT filter.
     if (s.rtt > 0 && (min_rtt_ < 0 || s.rtt < min_rtt_ ||

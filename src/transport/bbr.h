@@ -12,6 +12,31 @@
 
 namespace l4span::transport {
 
+// BBR's windowed-max bandwidth filter: the max over the samples of the last
+// `window_rounds` rounds (0 when empty). Expiry is lazy — applied when a
+// sample is pushed — so max() may still report a sample from an older round
+// until the next push. A monotone deque keeps it O(1) amortized: values
+// strictly decrease front to back, since a sample that a later, larger one
+// dominates can never be the max again (it expires no later).
+class windowed_max_filter {
+public:
+    explicit windowed_max_filter(std::uint64_t window_rounds) : window_(window_rounds) {}
+
+    // `round` must be non-decreasing across calls.
+    void push(std::uint64_t round, double value)
+    {
+        while (!samples_.empty() && samples_.back().second <= value) samples_.pop_back();
+        samples_.emplace_back(round, value);
+        while (samples_.front().first + window_ < round) samples_.pop_front();
+    }
+
+    double max() const { return samples_.empty() ? 0.0 : samples_.front().second; }
+
+private:
+    std::uint64_t window_;
+    std::deque<std::pair<std::uint64_t, double>> samples_;  // (round, value)
+};
+
 class bbr : public congestion_controller {
 public:
     explicit bbr(std::uint32_t mss, bool v2) : mss_(mss), v2_(v2), cwnd_(10ull * mss) {}
@@ -34,7 +59,7 @@ public:
 private:
     enum class mode { startup, drain, probe_bw, probe_rtt };
 
-    double max_bw_bps() const;
+    double max_bw_bps() const { return bw_filter_.max(); }
     std::uint64_t bdp_bytes(double gain) const;
     void advance_cycle(sim::tick now);
 
@@ -47,7 +72,7 @@ private:
     double cwnd_gain_ = 2.885;
 
     // Windowed-max bandwidth filter (per-"round" max over ~10 rounds).
-    std::deque<std::pair<std::uint64_t, double>> bw_samples_;  // (round, bps)
+    windowed_max_filter bw_filter_{10};
     std::uint64_t round_ = 0;
     sim::tick round_start_ = 0;
 
