@@ -61,7 +61,7 @@ double fading_channel::step(sim::tick t)
 
 double fading_channel::next_normal()
 {
-    if (next_normal_ == normals_.size()) {
+    if (next_normal_ == k_normal_block) {
         for (double& z : normals_) z = rng_.normal(0.0, 1.0);
         next_normal_ = 0;
     }

@@ -15,7 +15,7 @@ namespace l4span::chan {
 class fading_channel final : public link_model {
 public:
     fading_channel(channel_profile profile, sim::rng rng)
-        : profile_(std::move(profile)), rng_(std::move(rng)), snr_db_(profile_.mean_snr_db)
+        : profile_(std::move(profile)), snr_db_(profile_.mean_snr_db), rng_(std::move(rng))
     {
     }
 
@@ -36,20 +36,23 @@ private:
     double step(sim::tick t);
     double next_normal();
 
+    // Per-step state first, the engine's large state last, so a step
+    // touches few cache lines.
     channel_profile profile_;
-    sim::rng rng_;
     double snr_db_;
     sim::tick last_ = 0;
-    // Standard normals drawn ahead from rng_, in blocks: the engine is
-    // private to this channel, so drawing a block early consumes exactly
-    // the values one draw per step would, in the same order.
-    std::array<double, 32> normals_{};
-    std::size_t next_normal_ = normals_.size();
     // Memoized OU step coefficients for the last-seen dt (the slot period
     // in steady state, so the exp/sqrt run once, not once per sample).
     sim::tick memo_dt_ = -1;
     double memo_rho_ = 0.0;
     double memo_sigma_ = 0.0;
+    // Standard normals drawn ahead from rng_, in blocks: the engine is
+    // private to this channel, so drawing a block early consumes exactly
+    // the values one draw per step would, in the same order.
+    static constexpr std::size_t k_normal_block = 32;
+    std::size_t next_normal_ = k_normal_block;
+    std::array<double, k_normal_block> normals_{};
+    sim::rng rng_;
 };
 
 }  // namespace l4span::chan

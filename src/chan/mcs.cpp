@@ -1,6 +1,8 @@
 #include "chan/mcs.h"
 
 #include <array>
+#include <cstddef>
+#include <limits>
 
 namespace l4span::chan {
 
@@ -29,16 +31,27 @@ constexpr bool thresholds_ascend()
 }
 static_assert(thresholds_ascend(), "mcs_from_snr counts met thresholds");
 
+// The thresholds padded to a power of two with NaN, which no SNR meets (a
+// comparison with NaN is false), so the met ones still form a prefix.
+constexpr std::array<double, 32> k_thresholds = [] {
+    std::array<double, 32> t{};
+    for (std::size_t i = 0; i < t.size(); ++i)
+        t[i] = i < k_table.size() ? k_table[i].min_snr_db
+                                  : std::numeric_limits<double>::quiet_NaN();
+    return t;
+}();
+
 }  // namespace
 
 int mcs_from_snr(double snr_db)
 {
-    // The thresholds ascend, so the number met is one past the highest MCS
-    // met: a branch-free count instead of a scan that stops early. NaN
-    // meets none (-1).
-    int met = 0;
-    for (const auto& e : k_table) met += snr_db >= e.min_snr_db ? 1 : 0;
-    return met - 1;
+    // The thresholds ascend, so the met ones form a prefix whose length is
+    // one past the highest MCS met. Measure that length by halving, with no
+    // data-dependent branch; NaN meets none and maps to -1.
+    std::size_t met = 0;
+    for (std::size_t step = k_thresholds.size() / 2; step > 0; step /= 2)
+        met += step * static_cast<std::size_t>(snr_db >= k_thresholds[met + step - 1]);
+    return static_cast<int>(met) - 1;
 }
 
 double spectral_efficiency(int mcs)

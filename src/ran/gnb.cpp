@@ -27,14 +27,14 @@ rnti_t gnb::add_ue(std::unique_ptr<chan::link_model> link)
 
 rnti_t gnb::add_ue_impl(std::unique_ptr<chan::link_model> link)
 {
-    auto* fading = dynamic_cast<chan::fading_channel*>(link.get());
     auto ue = std::make_unique<ue_ctx>(ue_ctx{
         next_rnti_,
         static_cast<std::uint32_t>(ues_.size()),
+        dynamic_cast<chan::fading_channel*>(link.get()),
         std::move(link),
-        fading,
-        sdap_entity{},
+        0,
         {},
+        sdap_entity{},
         {},
     });
     allocator_.add_ue();

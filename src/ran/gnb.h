@@ -174,19 +174,20 @@ private:
         std::vector<tb_chunk> chunks;
     };
     struct ue_ctx {
+        // What every DL slot reads comes first, within one cache line.
         rnti_t rnti;
         std::uint32_t index;  // dense scheduler index
-        std::unique_ptr<chan::link_model> channel;
         // `channel` when it is a fading model, else nullptr: the slot loop
         // queries it through the final class, without a virtual call.
-        chan::fading_channel* fading = nullptr;
-        sdap_entity sdap;
-        std::vector<drb_ctx> drbs;
-        std::vector<harq_tb> pending_retx;  // due HARQ retransmissions
-        sim::tick last_ul_release = 0;      // keeps the uplink FIFO per UE
+        chan::fading_channel* fading;
+        std::unique_ptr<chan::link_model> channel;
         // Sum of the bearers' RLC backlog, kept current by each rlc_tx
         // (set_backlog_mirror); zero once detached.
         std::uint64_t backlog = 0;
+        std::vector<harq_tb> pending_retx;  // due HARQ retransmissions
+        sdap_entity sdap;
+        std::vector<drb_ctx> drbs;
+        sim::tick last_ul_release = 0;      // keeps the uplink FIFO per UE
         // Injected radio outage (fault injection): TBs fail, RLF detection
         // is armed. Cleared by end_outage or detach.
         bool in_outage = false;

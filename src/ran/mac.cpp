@@ -12,17 +12,14 @@ void prb_allocator::allocate(const std::vector<sched_input>& in, int available_p
 
     if (cfg_.policy == sched_policy::round_robin) {
         // Equal split among backlogged UEs; the remainder rotates so no UE is
-        // systematically favoured.
-        const int n = static_cast<int>(in.size());
-        const int base = available_prb / n;
-        int extra = available_prb % n;
-        for (int k = 0; k < n; ++k) {
-            const int i = static_cast<int>((rr_cursor_ + static_cast<std::size_t>(k)) %
-                                           static_cast<std::size_t>(n));
-            grants[static_cast<std::size_t>(i)] = base + (extra > 0 ? 1 : 0);
-            if (extra > 0) --extra;
-        }
-        rr_cursor_ = (rr_cursor_ + 1) % in.size();
+        // systematically favoured. Only the remainder's PRBs are placed one
+        // by one, so a slot with hundreds of backlogged UEs costs one fill.
+        const std::size_t n = in.size();
+        const int base = available_prb / static_cast<int>(n);
+        const std::size_t extra = static_cast<std::size_t>(available_prb) % n;
+        std::fill(grants.begin(), grants.end(), base);
+        for (std::size_t k = 0; k < extra; ++k) ++grants[(rr_cursor_ + k) % n];
+        rr_cursor_ = (rr_cursor_ + 1) % n;
         return;
     }
 

@@ -2,6 +2,11 @@
 // the ECN feedback arithmetic shared by the TCP and QUIC engines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <random>
+#include <utility>
+
 #include "transport/bbr.h"
 #include "transport/cc.h"
 #include "transport/cubic.h"
@@ -284,4 +289,34 @@ TEST(bbr_law, v2_loss_shrinks_inflight_hi)
     const auto before = cc.cwnd();
     cc.on_loss(t);
     EXPECT_LE(cc.cwnd(), before);
+}
+
+TEST(bbr_law, windowed_max_filter_matches_naive_window_max)
+{
+    // The naive filter the monotone deque replaced: keep every sample, drop
+    // expired ones (round + window < current) at push time, max by scan.
+    constexpr std::uint64_t k_window = 10;
+    std::mt19937_64 gen(2024);
+    for (int trial = 0; trial < 20; ++trial) {
+        windowed_max_filter fast(k_window);
+        std::deque<std::pair<std::uint64_t, double>> naive;
+        std::uint64_t round = 0;
+        for (int i = 0; i < 5000; ++i) {
+            // Rounds advance by 0..3 per sample, sometimes by a whole window.
+            const auto step = gen() % 40;
+            round += step < 30 ? step % 2 : (step < 38 ? 2 + step % 2 : k_window + step % 3);
+            // Few distinct values, so ties (equal maxima) are common.
+            const double v = gen() % 3 == 0 ? static_cast<double>(1 + gen() % 8) * 1e6
+                                            : std::uniform_real_distribution<double>(
+                                                  1e5, 1e8)(gen);
+            fast.push(round, v);
+            naive.emplace_back(round, v);
+            while (!naive.empty() && naive.front().first + k_window < round)
+                naive.pop_front();
+            double best = 0.0;
+            for (const auto& [r, bps] : naive) best = std::max(best, bps);
+            ASSERT_EQ(fast.max(), best) << "trial " << trial << " sample " << i;
+        }
+    }
+    EXPECT_EQ(windowed_max_filter(k_window).max(), 0.0);
 }

@@ -1,6 +1,12 @@
 // MCS tables and fading channel statistics.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <vector>
+
 #include "chan/fading.h"
 #include "chan/mcs.h"
 
@@ -115,4 +121,141 @@ TEST(fading, coherence_time_controls_autocorrelation)
     };
     EXPECT_NEAR(autocorr(25), std::exp(-1.0), 0.12);  // ~coherence (24.9 ms)
     EXPECT_LT(autocorr(250), 0.15);
+}
+
+// --- bit-exactness against reference implementations -----------------------
+
+namespace {
+
+// The linear scan mcs_from_snr replaced: highest MCS whose threshold is met,
+// stopping at the first one that is not.
+int reference_mcs(double snr_db)
+{
+    int best = -1;
+    for (int m = 0; m < k_num_mcs; ++m) {
+        if (snr_db >= min_snr_db(m))
+            best = m;
+        else
+            break;
+    }
+    return best;
+}
+
+std::uint64_t bits_of(double v)
+{
+    std::uint64_t b = 0;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+}
+
+// The Gauss-Markov step with one sim::rng::normal draw per advance — the
+// fading model as specified, without drawing ahead.
+struct reference_fading {
+    channel_profile p;
+    sim::rng rng;
+    double snr;
+    sim::tick last = 0;
+
+    reference_fading(channel_profile prof, std::uint64_t seed)
+        : p(std::move(prof)), rng(seed), snr(p.mean_snr_db)
+    {
+    }
+
+    double at(sim::tick t)
+    {
+        if (t <= last) return snr;
+        if (p.coherence <= 0 || p.sigma_db <= 0.0) {
+            last = t;
+            snr = p.mean_snr_db;
+            return snr;
+        }
+        const double dt = static_cast<double>(t - last);
+        const double rho = std::exp(-dt / static_cast<double>(p.coherence));
+        const double noise_sigma = p.sigma_db * std::sqrt(1.0 - rho * rho);
+        snr = p.mean_snr_db + rho * (snr - p.mean_snr_db) + rng.normal(0.0, noise_sigma);
+        last = t;
+        return snr;
+    }
+};
+
+// Drives a fading_channel and the reference through the same irregular
+// schedule: slot-period steps, odd dt values, and repeated or earlier
+// times that must not advance the process.
+void expect_fading_matches_reference(const channel_profile& prof, std::uint64_t seed,
+                                     int steps)
+{
+    fading_channel ch(prof, sim::rng(seed));
+    reference_fading ref(prof, seed);
+    sim::rng schedule(seed ^ 0x5eedull);
+    const sim::tick dts[] = {sim::from_us(500), sim::from_us(500), sim::from_us(500),
+                             sim::from_ms(1),   sim::from_us(123), 1,
+                             sim::from_ms(40),  sim::from_sec(2)};
+    sim::tick t = 0;
+    for (int i = 0; i < steps; ++i) {
+        const auto pick = static_cast<std::size_t>(schedule.uniform_int(0, 9));
+        sim::tick when = t;  // pick 8: repeated query at the current tick
+        if (pick < 8)
+            when = t += dts[pick];
+        else if (pick == 9 && t > 0)
+            when = t - 1;  // earlier than the last step
+        const double got = ch.snr_db(when);
+        const double want = ref.at(when);
+        ASSERT_EQ(bits_of(got), bits_of(want)) << "step " << i << " t=" << when;
+        ASSERT_EQ(ch.mcs(when), mcs_from_snr(want));
+    }
+}
+
+}  // namespace
+
+TEST(mcs, count_of_met_thresholds_equals_reference_scan)
+{
+    std::vector<double> probes = {0.0,
+                                  -0.0,
+                                  std::numeric_limits<double>::quiet_NaN(),
+                                  std::numeric_limits<double>::infinity(),
+                                  -std::numeric_limits<double>::infinity(),
+                                  std::numeric_limits<double>::max(),
+                                  std::numeric_limits<double>::lowest(),
+                                  std::numeric_limits<double>::denorm_min()};
+    for (int m = -1; m < k_num_mcs; ++m) {
+        const double th = min_snr_db(m);
+        probes.push_back(th);
+        probes.push_back(std::nextafter(th, -std::numeric_limits<double>::infinity()));
+        probes.push_back(std::nextafter(th, std::numeric_limits<double>::infinity()));
+    }
+    for (double snr = -12.0; snr <= 30.0; snr += 0.01) probes.push_back(snr);
+    for (const double snr : probes) EXPECT_EQ(mcs_from_snr(snr), reference_mcs(snr)) << snr;
+
+    // Every threshold selects its own MCS, and one ulp below selects the one under.
+    for (int m = 0; m < k_num_mcs; ++m) {
+        const double th = min_snr_db(m);
+        EXPECT_EQ(mcs_from_snr(th), m);
+        EXPECT_EQ(mcs_from_snr(std::nextafter(th, -1e9)), m - 1);
+    }
+    EXPECT_EQ(mcs_from_snr(std::numeric_limits<double>::quiet_NaN()), -1);
+    EXPECT_EQ(mcs_from_snr(std::numeric_limits<double>::infinity()), k_num_mcs - 1);
+    EXPECT_EQ(mcs_from_snr(-std::numeric_limits<double>::infinity()), -1);
+}
+
+TEST(fading, drawn_ahead_normals_match_one_draw_per_step)
+{
+    // Every named profile, over 12k irregular steps each (the draw-ahead
+    // block refills many times, across dt changes that re-memoize rho).
+    for (const auto& prof :
+         {channel_profile::static_channel(), channel_profile::pedestrian(),
+          channel_profile::vehicular(), channel_profile::mobile()})
+        expect_fading_matches_reference(prof, 1234, 12000);
+}
+
+TEST(fading, zero_sigma_and_unit_rho_draw_nothing)
+{
+    // sigma = 0: the process is pinned to its mean and never draws.
+    channel_profile flat{"flat", 11.0, 0.0, sim::from_ms(30)};
+    expect_fading_matches_reference(flat, 7, 2000);
+
+    // A coherence so long that a 1 ns step rounds rho to exactly 1 (noise
+    // sigma 0, no draw) while longer steps still draw: the drawn-ahead
+    // normals must stay aligned with the reference across both kinds.
+    channel_profile glacial{"glacial", 12.0, 3.0, sim::tick{4'000'000'000'000'000'000}};
+    expect_fading_matches_reference(glacial, 8, 12000);
 }

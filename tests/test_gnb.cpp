@@ -163,3 +163,119 @@ TEST(gnb, unknown_rnti_throws)
     test_rig rig;
     EXPECT_THROW(rig.g->rlc(99, 1), std::out_of_range);
 }
+
+// --- cached per-UE backlog --------------------------------------------------
+
+namespace {
+
+// Sum of the UE's RLC backlogs, the quantity the gNB's cached per-UE total
+// must mirror.
+std::uint64_t summed_backlog(gnb& g, rnti_t ue, int drbs)
+{
+    std::uint64_t sum = 0;
+    for (int d = 1; d <= drbs; ++d) sum += g.rlc(ue, static_cast<drb_id_t>(d)).backlog_bytes();
+    return sum;
+}
+
+struct discard_counter : cu_hook {
+    int discards = 0;
+    bool on_dl_packet(net::packet&, rnti_t, drb_id_t, pdcp_sn_t, sim::tick) override
+    {
+        return true;
+    }
+    bool on_ul_packet(net::packet&, rnti_t, sim::tick) override { return true; }
+    void on_delivery_status(const dl_delivery_status&, sim::tick) override {}
+    void on_dl_discard(rnti_t, drb_id_t, pdcp_sn_t, sim::tick) override { ++discards; }
+};
+
+}  // namespace
+
+TEST(gnb, cached_backlog_tracks_rlc_through_harq_loss_discard_and_handover)
+{
+    // A lossy HARQ configuration: TBs often exhaust their attempts, so RLC
+    // AM requeues SDUs (on_tb_lost) and, after one retransmission, discards
+    // them — every backlog-changing path runs while slots keep pulling.
+    gnb_config cfg;
+    cfg.mac.initial_bler = 0.5;
+    cfg.mac.retx_bler = 0.5;
+    cfg.mac.max_harq_tx = 2;
+    rlc_config rlc;
+    rlc.max_rlc_retx = 1;
+    constexpr int k_drbs = 2;
+
+    sim::event_loop loop;
+    gnb src(loop, cfg, sim::rng(17));
+    gnb dst(loop, cfg, sim::rng(18));
+    discard_counter hook;
+    src.set_cu_hook(&hook);
+    dst.set_cu_hook(&hook);
+    std::vector<rnti_t> ues;
+    for (const auto& prof : {chan::channel_profile::static_channel(),
+                             chan::channel_profile::pedestrian(),
+                             chan::channel_profile::vehicular()}) {
+        const rnti_t ue = src.add_ue(prof);
+        for (int d = 0; d < k_drbs; ++d) src.add_drb(ue, rlc);
+        src.map_qos_flow(ue, 2, 2);
+        ues.push_back(ue);
+    }
+    // The source cell's link-adaptation queries for the UE that will move,
+    // before and after its detach.
+    const rnti_t moved = ues[1];
+    bool detached = false;
+    int queries_before = 0;
+    int queries_after = 0;
+    src.set_linklog_handler([&](rnti_t ue, sim::tick, int, int, std::uint32_t) {
+        if (ue == moved) ++(detached ? queries_after : queries_before);
+    });
+    src.start();
+    dst.start();
+
+    std::uint64_t id = 0;
+    auto offer = [&](gnb& g, rnti_t ue) {
+        for (int i = 0; i < 6; ++i)
+            g.deliver_downlink(data_packet(900 + 100 * (i % 5), ++id), ue,
+                               static_cast<qfi_t>(1 + i % 2));
+    };
+    auto check = [&](gnb& g, const std::vector<rnti_t>& attached) {
+        for (const rnti_t ue : attached)
+            ASSERT_EQ(g.backlog_bytes(ue), summed_backlog(g, ue, k_drbs))
+                << "rnti " << ue << " at " << loop.now();
+    };
+
+    // Enqueue + pull + HARQ-exhaustion requeue + discard, checked every
+    // half slot (enqueue-only and post-slot states both get inspected).
+    for (sim::tick t = 0; t < sim::from_ms(400); t += sim::from_us(250)) {
+        for (const rnti_t ue : ues) offer(src, ue);
+        check(src, ues);
+        loop.run_until(t + sim::from_us(250));
+        check(src, ues);
+    }
+    EXPECT_GT(hook.discards, 0) << "the lossy config must reach the discard path";
+    ASSERT_GT(src.backlog_bytes(moved), 0u) << "handover must carry a backlog";
+
+    // X2 handover of the moving UE with a standing backlog: the source's total drops
+    // to zero with the export, the target's starts from the forwarded data.
+    ue_handover_context ctx = src.detach_ue(moved);
+    detached = true;
+    EXPECT_FALSE(src.has_ue(moved));
+    EXPECT_EQ(src.active_ues(), 2u);
+    EXPECT_EQ(src.active_rntis(), (std::vector<rnti_t>{ues[0], ues[2]}));
+    std::uint64_t forwarded = 0;
+    for (const auto& d : ctx.drbs)
+        for (const auto& sdu : d.tx.forwarded) forwarded += sdu.size;
+    const rnti_t arrived = dst.attach_ue(std::move(ctx));
+    EXPECT_EQ(dst.backlog_bytes(arrived), forwarded);
+    check(dst, {arrived});
+    const std::vector<rnti_t> stayed = {ues[0], ues[2]};
+    for (sim::tick t = loop.now(); t < sim::from_ms(700); t += sim::from_us(250)) {
+        for (const rnti_t ue : stayed) offer(src, ue);
+        offer(dst, arrived);
+        loop.run_until(t + sim::from_us(250));
+        check(src, stayed);
+        check(dst, {arrived});
+    }
+
+    // The source never asked its scheduler about the detached RNTI again.
+    EXPECT_GT(queries_before, 0);
+    EXPECT_EQ(queries_after, 0);
+}
