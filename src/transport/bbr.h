@@ -12,8 +12,8 @@
 
 namespace l4span::transport {
 
-// BBR's windowed-max bandwidth filter: the max over the samples of the last
-// `window_rounds` rounds (0 when empty). Expiry is lazy — applied when a
+// BBR's windowed-max bandwidth filter: the max over the (positive) samples
+// of the last `window_rounds` rounds, 0 when empty. Expiry is lazy — applied when a
 // sample is pushed — so max() may still report a sample from an older round
 // until the next push. A monotone deque keeps it O(1) amortized: values
 // strictly decrease front to back, since a sample that a later, larger one
@@ -72,7 +72,8 @@ private:
     double cwnd_gain_ = 2.885;
 
     // Windowed-max bandwidth filter (per-"round" max over ~10 rounds).
-    windowed_max_filter bw_filter_{10};
+    static constexpr std::uint64_t k_bw_window_rounds = 10;
+    windowed_max_filter bw_filter_{k_bw_window_rounds};
     std::uint64_t round_ = 0;
     sim::tick round_start_ = 0;
 
