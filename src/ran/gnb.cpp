@@ -28,14 +28,10 @@ rnti_t gnb::add_ue(std::unique_ptr<chan::link_model> link)
 rnti_t gnb::add_ue_impl(std::unique_ptr<chan::link_model> link)
 {
     auto ue = std::make_unique<ue_ctx>(ue_ctx{
-        next_rnti_,
-        static_cast<std::uint32_t>(ues_.size()),
-        dynamic_cast<chan::fading_channel*>(link.get()),
-        std::move(link),
-        0,
-        {},
-        sdap_entity{},
-        {},
+        .rnti = next_rnti_,
+        .index = static_cast<std::uint32_t>(ues_.size()),
+        .fading = dynamic_cast<chan::fading_channel*>(link.get()),
+        .channel = std::move(link),
     });
     allocator_.add_ue();
     rnti_slots_.push_back(ue.get());

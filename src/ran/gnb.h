@@ -184,10 +184,10 @@ private:
         // Sum of the bearers' RLC backlog, kept current by each rlc_tx
         // (set_backlog_mirror); zero once detached.
         std::uint64_t backlog = 0;
-        std::vector<harq_tb> pending_retx;  // due HARQ retransmissions
-        sdap_entity sdap;
-        std::vector<drb_ctx> drbs;
-        sim::tick last_ul_release = 0;      // keeps the uplink FIFO per UE
+        std::vector<harq_tb> pending_retx{};  // due HARQ retransmissions
+        sdap_entity sdap{};
+        std::vector<drb_ctx> drbs{};
+        sim::tick last_ul_release = 0;  // keeps the uplink FIFO per UE
         // Injected radio outage (fault injection): TBs fail, RLF detection
         // is armed. Cleared by end_outage or detach.
         bool in_outage = false;
