@@ -73,6 +73,36 @@ scenario_spec wred_cell_flows_spec()
     return s;
 }
 
+// Copy of `node` whose `target`-th object member (pre-order over the whole
+// tree, counted in `n`) holds a value of the wrong JSON type. `at` is the
+// schema key path of `node`; `path` receives the replaced member's path:
+// "$.<key>" at top level, "<family>.<key>..." below it.
+stats::json with_wrong_type(const stats::json& node, const std::string& at, int& n,
+                            int target, std::string& path)
+{
+    if (node.is_array()) {
+        auto out = stats::json::array();
+        for (std::size_t i = 0; i < node.elements().size(); ++i)
+            out.push(with_wrong_type(node.elements()[i],
+                                     at + "[" + std::to_string(i) + "]", n, target,
+                                     path));
+        return out;
+    }
+    if (!node.is_object()) return node;
+    auto out = stats::json::object();
+    for (const auto& [key, value] : node.members()) {
+        const std::string key_path = (at.empty() ? "$" : at) + "." + key;
+        if (n++ == target) {
+            path = key_path;
+            out.set(key, value.is_string() ? stats::json(0) : stats::json("wrong"));
+        } else {
+            out.set(key, with_wrong_type(value, at.empty() ? key : key_path, n,
+                                         target, path));
+        }
+    }
+    return out;
+}
+
 }  // namespace
 
 TEST(scenario_fuzz, byte_soup_never_crashes)
@@ -234,4 +264,41 @@ TEST(scenario_fuzz, wred_spec_parses_back_to_wred_queue_params)
     EXPECT_DOUBLE_EQ(w.classic.max_p, 0.08);
     EXPECT_EQ(w.ecn_drop_bytes, std::size_t{1} << 20);
     EXPECT_EQ(w.l4s_weight, 8);
+}
+
+TEST(scenario_fuzz, every_key_type_error_names_key_path_and_line)
+{
+    // Every object member of every builtin export and of the WRED example,
+    // in turn given a value of the wrong JSON type: the diagnostic must
+    // name that member's full key path and its source line.
+    std::vector<stats::json> docs;
+    for (const char* name : {"fig09", "fig16", "ecn_impairment", "fault_chaos"})
+        docs.push_back(export_scenario(builtin_scenario(name, false)));
+    std::string wred_text;
+    ASSERT_TRUE(stats::read_text_file(
+        std::string(L4SPAN_SOURCE_ROOT) + "/examples/scenarios/wred_cell_flows.json",
+        wred_text));
+    docs.push_back(stats::json::parse(wred_text));
+    int probed = 0;
+    for (const auto& doc : docs) {
+        int members = 0;
+        std::string path;
+        (void)with_wrong_type(doc, "", members, -1, path);
+        for (int target = 0; target < members; ++target) {
+            int n = 0;
+            const std::string text =
+                with_wrong_type(doc, "", n, target, path).dump();
+            SCOPED_TRACE(path);
+            ++probed;
+            try {
+                (void)parse_scenario_text(text, "<typed>");
+                ADD_FAILURE() << "wrong-typed value accepted";
+            } catch (const scenario_error& e) {
+                const std::string msg = e.what();
+                EXPECT_NE(msg.find("\"" + path + "\""), std::string::npos) << msg;
+                EXPECT_NE(msg.find("(line "), std::string::npos) << msg;
+            }
+        }
+    }
+    EXPECT_EQ(probed, 320);
 }

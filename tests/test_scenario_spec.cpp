@@ -13,6 +13,7 @@
 // Plus: file-path round-trip via write_scenario_file/load_scenario_file,
 // and validation diagnostics naming the offending key and source line.
 #include <cstdio>
+#include <filesystem>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -69,6 +70,36 @@ TEST(scenario_spec, export_parse_export_is_identity_for_builtins)
             EXPECT_EQ(export_scenario(reparsed).dump(), once);
         }
     }
+    // Every committed scenario file is itself an export: it must re-export
+    // to its own bytes, and the bench-derived ones must equal the bench's
+    // compiled-in scenario.
+    struct bench_file {
+        const char* stem;
+        const char* builtin;
+        bool quick;
+    };
+    const bench_file bench_files[] = {{"fig09_quick", "fig09", true},
+                                      {"fig16", "fig16", false},
+                                      {"ecn_impairment", "ecn_impairment", false},
+                                      {"fault_chaos_quick", "fault_chaos", true}};
+    const std::filesystem::path dir =
+        std::filesystem::path(L4SPAN_SOURCE_ROOT) / "examples" / "scenarios";
+    int files = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+        if (entry.path().extension() != ".json") continue;
+        SCOPED_TRACE(entry.path().string());
+        ++files;
+        std::string text;
+        ASSERT_TRUE(stats::read_text_file(entry.path().string(), text));
+        const auto spec = parse_scenario_text(text, entry.path().string());
+        EXPECT_EQ(export_scenario(spec).dump(), text);
+        for (const auto& b : bench_files) {
+            if (entry.path().stem() != b.stem) continue;
+            EXPECT_EQ(export_scenario(builtin_scenario(b.builtin, b.quick)).dump(),
+                      text);
+        }
+    }
+    EXPECT_GE(files, 5);
 }
 
 // The bench binaries call builtin_scenario() + run_scenario(); l4span_run
