@@ -2,8 +2,8 @@
 
 #include <cmath>
 #include <cstdio>
-#include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace l4span::scenario {
@@ -33,101 +33,525 @@ sim::tick sec_to_tick(double s)
     throw scenario_error(out);
 }
 
-// One object node being bound to a struct: typed, range-checked accessors
-// that mark the keys they consume, plus a final unknown-key sweep. Every
-// error names the full key path and the node's source line.
-class binder {
+// --- name tables -------------------------------------------------------------
+
+template <class E>
+struct named {
+    E value;
+    const char* name;
+};
+
+constexpr named<cu_mode> k_cu_modes[] = {{cu_mode::none, "none"},
+                                         {cu_mode::l4span, "l4span"},
+                                         {cu_mode::dualpi2_ran, "dualpi2_ran"},
+                                         {cu_mode::tcran, "tcran"}};
+constexpr named<net::ecn> k_ecns[] = {{net::ecn::not_ect, "not_ect"},
+                                      {net::ecn::ect0, "ect0"},
+                                      {net::ecn::ect1, "ect1"},
+                                      {net::ecn::ce, "ce"}};
+constexpr named<core::shared_drb_policy> k_policies[] = {
+    {core::shared_drb_policy::original, "original"},
+    {core::shared_drb_policy::l4s_all, "l4s_all"},
+    {core::shared_drb_policy::classic_all, "classic_all"},
+    {core::shared_drb_policy::coupled, "coupled"}};
+constexpr const char* k_aqms[] = {"fifo", "dualpi2", "wred"};
+constexpr const char* k_cross_models[] = {"poisson", "cbr"};
+
+const char* name_of(const char* name) { return name; }
+template <class E>
+const char* name_of(const named<E>& entry)
+{
+    return entry.name;
+}
+template <class E, std::size_t N>
+const char* name_of(const named<E> (&table)[N], E value)
+{
+    for (const auto& e : table)
+        if (e.value == value) return e.name;
+    return table[0].name;
+}
+
+// "a, b, c": the "valid:" list of a diagnostic.
+template <class Table>
+std::string join(const Table& table)
+{
+    std::string out;
+    for (const auto& e : table) out += (out.empty() ? "" : ", ") + std::string(name_of(e));
+    return out;
+}
+
+// The family tag -> parameter block map, in schema order: the one place the
+// family names are spelled. Parse, export and validate all dispatch on it.
+template <class S, class Fn>
+void for_each_family(S& s, Fn&& fn)
+{
+    fn("tcp_grid", s.tcp_grid);
+    fn("shared_drb", s.shared_drb);
+    fn("ecn_impairment", s.ecn_impairment);
+    fn("fault_chaos", s.fault_chaos);
+    fn("cell_flows", s.cell_flows);
+}
+
+std::string family_names(const scenario_spec& s)
+{
+    std::string out;
+    for_each_family(s, [&](const char* name, const auto&) {
+        out += (out.empty() ? "" : ", ") + std::string(name);
+    });
+    return out;
+}
+
+// Channel profiles are parsed at run time; "trace" is caught here because
+// it needs data files a scenario document cannot carry.
+std::string trace_unavailable(const std::string& channel)
+{
+    if (channel != "trace") return "";
+    return "\"trace\" is not available in scenario files (v1) — DCI trace "
+           "replay needs trace data files; use bench_trace_replay (valid: "
+           "static, pedestrian, vehicular, mobile)";
+}
+
+// --- field lists ---------------------------------------------------------------
+// One list per schema struct names every key once, in export order, with its
+// range and unit. A visitor walks it: `reader` binds a parsed object onto the
+// struct (an absent key keeps the member's current value, so the struct
+// defaults are the schema defaults), `writer` builds the exported object.
+// Export writes every key, always; parse accepts exactly those keys. That
+// pairing is what makes export -> parse -> export the byte identity.
+//
+// Visitor vocabulary: boolean, number, integer (integral, in range), u64
+// (any exactly representable non-negative integer), ms/seconds (a tick in
+// ms/s), stop_ms (ms, or -1 for "never"), str (optionally checked), choice
+// (a name from a table), object (nested struct), objects (array of structs),
+// values (required non-empty array of scalars), fallback (a derived default
+// for an empty string; parse only). `v.index` is the position of the struct
+// in its parent array, -1 for a plain object.
+
+// Whether an array key must be present (and non-empty), may be, or is not
+// part of this object at all (rejected on parse, omitted on export).
+enum class need { optional, required, never };
+
+template <class V>
+void fields(V& v, topo::impairment_spec& s)
+{
+    v.number("remark_ect1", s.remark_ect1, 0.0, 1.0);
+    v.number("bleach_ce", s.bleach_ce, 0.0, 1.0);
+    v.number("strip_ect", s.strip_ect, 0.0, 1.0);
+    v.number("loss", s.loss, 0.0, 1.0);
+    v.number("loss_burst", s.loss_burst, 1.0, 1e6);
+    v.number("reorder", s.reorder, 0.0, 1.0);
+    v.integer("reorder_gap", s.reorder_gap, 1, 1 << 20);
+    v.ms("reorder_hold_max_ms", s.reorder_hold_max, 0.0, 60e3);
+    v.number("duplicate", s.duplicate, 0.0, 1.0);
+    v.boolean("force_stage", s.force_stage);
+    // A flow policy (an array element) has no policies of its own.
+    v.objects("flow_policies", s.flow_policies, v.index < 0 ? need::optional : need::never);
+}
+
+template <class V>
+void fields(V& v, aqm::wred_profile& p)
+{
+    v.integer("min_bytes", p.min_bytes, 0, 1ll << 40);
+    v.integer("max_bytes", p.max_bytes, 0, 1ll << 40);
+    v.number("max_p", p.max_p, 0.0, 1.0);
+}
+
+template <class V>
+void fields(V& v, aqm::wred_dualq_config& cfg)
+{
+    v.object("l4s", cfg.l4s);
+    v.object("classic", cfg.classic);
+    v.integer("ecn_drop_bytes", cfg.ecn_drop_bytes, 0, 1ll << 40);
+    v.integer("l4s_weight", cfg.l4s_weight, 1, 1 << 20);
+    v.integer("max_bytes", cfg.max_bytes, 1, 1ll << 40);
+}
+
+template <class V>
+void fields(V& v, core::l4span_config& cfg)
+{
+    v.ms("sojourn_threshold_ms", cfg.sojourn_threshold, 0.1, 10e3);
+    v.ms("coherence_time_ms", cfg.coherence_time, 0.1, 10e3);
+    v.boolean("short_circuit", cfg.short_circuit);
+    v.boolean("drop_non_ecn", cfg.drop_non_ecn);
+    v.boolean("error_aware", cfg.error_aware);
+    v.number("classic_beta", cfg.classic_beta, 0.01, 0.99);
+    v.integer("mss", cfg.mss, 64, 65535);
+    v.choice("shared_policy", cfg.shared_policy, "shared-DRB policy", k_policies);
+    v.ms("prune_horizon_ms", cfg.prune_horizon, 1.0, 3600e3);
+}
+
+template <class V>
+void fields(V& v, topo::cross_traffic_spec& s)
+{
+    v.choice("model", s.model, "model", k_cross_models);
+    v.number("rate_bps", s.rate_bps, 0.0, 1e12);
+    v.integer("pkt_bytes", s.pkt_bytes, 64, 65535);
+    v.choice("ecn", s.ecn_field, "ECN codepoint", k_ecns);
+    v.ms("start_ms", s.start_time, 0.0, 3600e3);
+    v.stop_ms("stop_ms", s.stop_time);
+    v.boolean("uplink", s.uplink);
+}
+
+template <class V>
+void fields(V& v, cell_spec& c)
+{
+    v.integer("num_ues", c.num_ues, 1, 4096);
+    v.str("channel", c.channel, trace_unavailable);
+    v.integer("rlc_queue_sdus", c.rlc_queue_sdus, 1, 1ll << 30);
+    v.choice("cu", c.cu, "CU mode", k_cu_modes);
+    v.u64("seed", c.seed);
+    v.boolean("separate_drbs_per_class", c.separate_drbs_per_class);
+    v.number("bottleneck_bps", c.bottleneck_bps, 0.0, 1e12);
+    v.choice("bottleneck_aqm", c.bottleneck_aqm, "AQM", k_aqms);
+    v.object("wred", c.wred);
+    v.number("ul_bottleneck_bps", c.ul_bottleneck_bps, 0.0, 1e12);
+    v.object("l4s", c.l4s);
+    v.object("impair_dl", c.impair_dl);
+    v.object("impair_ul", c.impair_ul);
+    v.objects("cross_traffic", c.cross_traffic, need::optional);
+}
+
+template <class V>
+void fields(V& v, cell_flows_family::flow& fl)
+{
+    flow_spec& f = fl.spec;
+    v.str("cca", f.cca);
+    v.integer("ue", f.ue, 0, 1 << 20);
+    v.integer("count", fl.count, 1, 4096);
+    v.ms("start_ms", f.start_time, 0.0, 3600e3);
+    v.stop_ms("stop_ms", f.stop_time);
+    v.u64("flow_bytes", f.flow_bytes);
+    v.number("wired_owd_ms", f.wired_owd_ms, 0.0, 10e3);
+    v.integer("mss", f.mss, 64, 65535);
+    v.u64("max_cwnd", f.max_cwnd);
+    v.number("media_max_bps", f.media_max_bps, 0.0, 1e12);
+    v.number("media_start_bps", f.media_start_bps, 0.0, 1e12);
+    v.number("fps", f.fps, 0.0, 1e3);
+    v.number("frame_bitrate_bps", f.frame_bitrate_bps, 0.0, 1e12);
+    v.number("keyframe_interval_s", f.keyframe_interval_s, 0.01, 3600.0);
+    v.number("keyframe_scale", f.keyframe_scale, 1.0, 1e3);
+    v.number("frame_deadline_ms", f.frame_deadline_ms, 0.1, 10e3);
+}
+
+template <class V>
+void fields(V& v, tcp_grid_family& f)
+{
+    v.u64("seed_base", f.seed_base);
+    v.values("rtts_ms", f.rtts_ms, "numbers in [0, 10000]", 0.0, 10e3);
+    v.values("queues_sdus", f.queues_sdus, "integers >= 1", 1.0, 1 << 30);
+    v.values("ue_counts", f.ue_counts, "integers in [1, 4096]", 1.0, 4096.0);
+    v.values("ccas", f.ccas, "strings");
+    v.values("channels", f.channels, "strings");
+}
+
+template <class V>
+void fields(V& v, shared_drb_family::strategy& st)
+{
+    v.str("label", st.label);
+    v.choice("policy", st.policy, "shared-DRB policy", k_policies);
+    v.fallback(st.label, shared_drb_policy_name(st.policy));
+}
+
+template <class V>
+void fields(V& v, shared_drb_family& f)
+{
+    v.u64("seed", f.seed);
+    v.objects("strategies", f.strategies, need::required);
+}
+
+template <class V>
+void fields(V& v, ecn_impairment_family::transport& t)
+{
+    v.str("cca", t.cca);
+    v.fallback(t.cca, "prague");
+    v.str("label", t.label);
+    v.fallback(t.label, t.cca);
+}
+
+template <class V>
+void fields(V& v, ecn_impairment_family::profile& p)
+{
+    v.str("name", p.name);
+    v.fallback(p.name, "profile" + std::to_string(v.index));
+    v.boolean("drop_non_ecn", p.drop_non_ecn);
+    v.object("impair", p.impair);
+}
+
+template <class V>
+void fields(V& v, ecn_impairment_family& f)
+{
+    v.u64("seed", f.seed);
+    v.integer("ues", f.ues, 1, 4096);
+    v.number("bottleneck_bps", f.bottleneck_bps, 1e3, 1e12);
+    v.choice("bottleneck_aqm", f.bottleneck_aqm, "AQM", k_aqms);
+    v.number("cross_rate_bps", f.cross_rate_bps, 0.0, 1e12);
+    v.values("cross_options", f.cross_options, "booleans");
+    v.objects("ccas", f.ccas, need::required);
+    v.objects("profiles", f.profiles, need::required);
+}
+
+template <class V>
+void fields(V& v, fault_chaos_family::profile& p)
+{
+    v.str("name", p.name);
+    v.fallback(p.name, "profile" + std::to_string(v.index));
+    v.number("rlf_per_ue_per_sec", p.rlf_per_ue_per_sec, 0.0, 100.0);
+    v.number("ho_failure_per_ue_per_sec", p.ho_failure_per_ue_per_sec, 0.0, 100.0);
+    v.number("outages_per_cell_per_sec", p.outages_per_cell_per_sec, 0.0, 100.0);
+    v.number("flaps_per_cell_per_sec", p.flaps_per_cell_per_sec, 0.0, 100.0);
+}
+
+template <class V>
+void fields(V& v, fault_chaos_family::transport& t)
+{
+    v.str("cca", t.cca);
+    v.fallback(t.cca, "prague");
+    v.boolean("media", t.media);
+}
+
+template <class V>
+void fields(V& v, fault_chaos_family& f)
+{
+    v.integer("num_cells", f.num_cells, 1, 64);
+    v.integer("ues_per_cell", f.ues_per_cell, 1, 256);
+    v.u64("cell_seed", f.cell_seed);
+    v.number("wired_bps", f.wired_bps, 1e3, 1e12);
+    v.u64("fault_seed", f.fault_seed);
+    v.number("fault_start_ms", f.fault_start_ms, 0.0, 3600e3);
+    v.number("fault_end_margin_ms", f.fault_end_margin_ms, 0.0, 3600e3);
+    v.objects("profiles", f.profiles, need::required);
+    v.objects("transports", f.transports, need::required);
+}
+
+template <class V>
+void fields(V& v, cell_flows_family& f)
+{
+    v.values("seeds", f.seeds, "non-negative integers", 0.0, k_max_exact);
+    v.object("cell", f.cell);
+    v.objects("flows", f.flows, need::required);
+}
+
+template <class V>
+void fields(V& v, scenario_spec& s)
+{
+    v.constant("schema", k_scenario_schema);
+    v.str("figure", s.figure);
+    v.str("title", s.title);
+    v.str("paper_ref", s.paper_ref);
+    v.boolean("quick", s.quick);
+    v.seconds("duration_s", s.duration, 0.001, 3600.0);
+    v.family("family", s);
+}
+
+// --- reader: parsed object -> struct --------------------------------------------
+// Typed, range-checked binding that marks the keys it consumes, plus a final
+// unknown-key sweep. Every error names the full key path and a source line.
+
+class reader {
 public:
-    binder(const std::string& origin, const stats::json& node, std::string path)
-        : origin_(origin), node_(node), path_(std::move(path))
+    reader(const std::string& origin, const stats::json& node, std::string path,
+           int index = -1)
+        : index(index), origin_(origin), node_(node), path_(std::move(path))
     {
         if (!node_.is_object())
             fail(origin_, node_.line(), "\"" + path_ + "\" must be an object");
     }
 
-    const std::string& origin() const { return origin_; }
-    const std::string& path() const { return path_; }
-    int line() const { return node_.line(); }
+    const int index;
 
-    // Returns the member or nullptr, remembering `key` as known.
-    const stats::json* opt(const char* key)
-    {
-        known_.push_back(key);
-        return node_.find(key);
-    }
-
-    bool bool_or(const char* key, bool def)
+    void boolean(const char* key, bool& b)
     {
         const stats::json* v = opt(key);
-        if (!v) return def;
+        if (!v) return;
         if (!v->is_bool()) fail_key(key, *v, "must be true or false");
-        return v->as_bool();
+        b = v->as_bool();
     }
 
-    double num_or(const char* key, double def,
-                  double lo = -std::numeric_limits<double>::infinity(),
-                  double hi = std::numeric_limits<double>::infinity())
+    void number(const char* key, double& d, double lo, double hi)
     {
-        const stats::json* v = opt(key);
-        if (!v) return def;
-        return check_range(key, *v, lo, hi);
+        if (const stats::json* v = opt(key)) d = check_range(key, *v, lo, hi);
     }
 
-    // Integer-valued number in [lo, hi].
-    long long int_or(const char* key, long long def, long long lo, long long hi)
+    template <class T>
+    void integer(const char* key, T& n, long long lo, long long hi)
     {
         const stats::json* v = opt(key);
-        if (!v) return def;
+        if (!v) return;
         const double d = check_range(key, *v, static_cast<double>(lo),
                                      static_cast<double>(hi));
         if (d != std::floor(d))
             fail_key(key, *v, "must be an integer, got " + std::to_string(d));
-        return static_cast<long long>(d);
+        n = static_cast<T>(d);
     }
 
-    std::uint64_t u64_or(const char* key, std::uint64_t def)
+    void u64(const char* key, std::uint64_t& n)
     {
         const stats::json* v = opt(key);
-        if (!v) return def;
+        if (!v) return;
         const double d = check_range(key, *v, 0.0, k_max_exact);
         if (d != std::floor(d)) fail_key(key, *v, "must be a non-negative integer");
-        return static_cast<std::uint64_t>(d);
+        n = static_cast<std::uint64_t>(d);
     }
 
-    std::string str_or(const char* key, std::string def)
+    void ms(const char* key, sim::tick& t, double lo, double hi)
+    {
+        if (const stats::json* v = opt(key)) t = ms_to_tick(check_range(key, *v, lo, hi));
+    }
+
+    void stop_ms(const char* key, sim::tick& t)
     {
         const stats::json* v = opt(key);
-        if (!v) return def;
+        if (!v) return;
+        const double d = check_range(key, *v, -1.0, 3600e3);
+        t = d < 0.0 ? -1 : ms_to_tick(d);
+    }
+
+    void seconds(const char* key, sim::tick& t, double lo, double hi)
+    {
+        if (const stats::json* v = opt(key)) t = sec_to_tick(check_range(key, *v, lo, hi));
+    }
+
+    // `check(value)` returns "" or what is wrong with the (possibly
+    // defaulted) value; the diagnostic names the key.
+    template <class Check>
+    void str(const char* key, std::string& s, Check check)
+    {
+        str(key, s);
+        const std::string err = check(s);
+        if (!err.empty())
+            fail(origin_, line(), "key \"" + path_ + "." + key + "\": " + err);
+    }
+
+    void str(const char* key, std::string& s)
+    {
+        const stats::json* v = opt(key);
+        if (!v) return;
         if (!v->is_string()) fail_key(key, *v, "must be a string");
-        return v->as_string();
+        s = v->as_string();
     }
 
-    // Required array member.
-    const stats::json& array(const char* key)
+    template <class Table>
+    void choice(const char* key, std::string& s, const char* what, const Table& table)
     {
-        const stats::json* v = opt(key);
-        if (!v)
-            fail(origin_, node_.line(),
-                 "missing required key \"" + path_ + "." + key + "\"");
-        if (!v->is_array()) fail_key(key, *v, "must be an array");
-        if (v->elements().empty()) fail_key(key, *v, "must not be empty");
-        return *v;
+        str(key, s, [&](const std::string& name) {
+            for (const auto& e : table)
+                if (name == name_of(e)) return std::string();
+            return "unknown " + std::string(what) + " \"" + name + "\" (valid: " +
+                   join(table) + ")";
+        });
     }
 
-    // Optional object member; nullptr when absent.
-    const stats::json* object(const char* key)
+    template <class E, std::size_t N>
+    void choice(const char* key, E& value, const char* what, const named<E> (&table)[N])
+    {
+        std::string name = name_of(table, value);
+        choice(key, name, what, table);
+        for (const auto& e : table)
+            if (name == e.name) value = e.value;
+    }
+
+    void constant(const char* key, const char* value)
+    {
+        std::string got;
+        str(key, got);
+        if (got != value)
+            fail(origin_, line(),
+                 "key \"" + path_ + "." + key + "\" must be \"" + value + "\", got \"" +
+                     got + "\"");
+    }
+
+    void fallback(std::string& s, const std::string& derived)
+    {
+        if (s.empty()) s = derived;
+    }
+
+    template <class T>
+    void object(const char* key, T& member)
     {
         const stats::json* v = opt(key);
-        if (!v) return nullptr;
+        if (!v) return;
         if (!v->is_object()) fail_key(key, *v, "must be an object");
-        return v;
+        // Family sections hang off the root but are named by themselves.
+        reader r(origin_, *v, path_ == "$" ? std::string(key) : path_ + "." + key);
+        fields(r, member);
+        r.done();
     }
 
-    [[noreturn]] void fail_key(const char* key, const stats::json& v,
-                               const std::string& msg)
+    template <class T>
+    void objects(const char* key, std::vector<T>& out, need n)
     {
-        fail(origin_, v.line() > 0 ? v.line() : node_.line(),
-             "key \"" + path_ + "." + key + "\" " + msg);
+        const stats::json* a = list(key, n);
+        if (!a) return;
+        out.clear();
+        for (std::size_t i = 0; i < a->elements().size(); ++i) {
+            reader r(origin_, a->elements()[i],
+                     path_ + "." + key + "[" + std::to_string(i) + "]",
+                     static_cast<int>(i));
+            T item{};
+            fields(r, item);
+            r.done();
+            out.push_back(std::move(item));
+        }
+    }
+
+    // Required, non-empty array of scalars; numbers must lie in [lo, hi]
+    // (and be integers for an integral T). `what` ends the diagnostic
+    // "entries must be ...".
+    template <class T>
+    void values(const char* key, std::vector<T>& out, const char* what,
+                double lo = 0.0, double hi = 0.0)
+    {
+        const stats::json* a = list(key, need::required);
+        out.clear();
+        for (const auto& e : a->elements()) {
+            bool ok;
+            if constexpr (std::is_same_v<T, std::string>)
+                ok = e.is_string();
+            else if constexpr (std::is_same_v<T, bool>)
+                ok = e.is_bool();
+            else
+                ok = e.is_number() && e.as_number() >= lo && e.as_number() <= hi &&
+                     (std::is_floating_point_v<T> ||
+                      e.as_number() == std::floor(e.as_number()));
+            if (!ok)
+                fail(origin_, e.line(),
+                     "key \"" + path_ + "." + key + "\" entries must be " + what);
+            if constexpr (std::is_same_v<T, std::string>)
+                out.push_back(e.as_string());
+            else if constexpr (std::is_same_v<T, bool>)
+                out.push_back(e.as_bool());
+            else
+                out.push_back(static_cast<T>(e.as_number()));
+        }
+    }
+
+    // `family` selects one parameter block, which must be present; the
+    // other families' blocks must not be — two blocks with one selector is
+    // a scenario that silently ignores half its content.
+    void family(const char* key, scenario_spec& s)
+    {
+        str(key, s.family);
+        bool known = false;
+        for_each_family(s, [&](const char* name, auto& block) {
+            if (s.family != name) return;
+            known = true;
+            if (!node_.find(name))
+                fail(origin_, line(),
+                     "missing section \"$." + s.family +
+                         "\" (the family names its parameter block)");
+            object(name, block);
+        });
+        if (!known)
+            fail(origin_, line(),
+                 "key \"" + path_ + "." + key + "\": unknown family \"" + s.family +
+                     "\" (valid: " + family_names(s) + ")");
+        for_each_family(s, [&](const char* name, const auto&) {
+            if (s.family == name) return;
+            if (const stats::json* stray = opt(name))
+                fail(origin_, stray->line(),
+                     "section \"$." + std::string(name) + "\" present but family is \"" +
+                         s.family + "\" — remove it or change $.family");
+        });
     }
 
     // Unknown-key sweep: every accessor above registered its key, so by now
@@ -149,6 +573,40 @@ public:
     }
 
 private:
+    int line() const { return node_.line(); }
+
+    // Returns the member or nullptr, remembering `key` as known.
+    const stats::json* opt(const char* key)
+    {
+        known_.push_back(key);
+        return node_.find(key);
+    }
+
+    // The array member `key`, or nullptr when it is absent and optional.
+    const stats::json* list(const char* key, need n)
+    {
+        const stats::json* a = opt(key);
+        if (!a) {
+            if (n == need::required)
+                fail(origin_, line(),
+                     "missing required key \"" + path_ + "." + key + "\"");
+            return nullptr;
+        }
+        if (!a->is_array()) fail_key(key, *a, "must be an array");
+        if (n == need::required && a->elements().empty())
+            fail_key(key, *a, "must not be empty");
+        if (n == need::never)
+            fail_key(key, *a, "may not nest (per-flow policies are one level deep)");
+        return a;
+    }
+
+    [[noreturn]] void fail_key(const char* key, const stats::json& v,
+                               const std::string& msg)
+    {
+        fail(origin_, v.line() > 0 ? v.line() : line(),
+             "key \"" + path_ + "." + key + "\" " + msg);
+    }
+
     double check_range(const char* key, const stats::json& v, double lo, double hi)
     {
         if (!v.is_number()) fail_key(key, v, "must be a number");
@@ -166,741 +624,205 @@ private:
     std::vector<const char*> known_;
 };
 
-std::string elem_path(const std::string& base, const char* key, std::size_t i)
-{
-    return base + "." + key + "[" + std::to_string(i) + "]";
-}
+// --- writer: struct -> exported object ------------------------------------------
 
-// --- small enum <-> name tables ---------------------------------------------
-
-std::string cu_mode_name(cu_mode m)
-{
-    switch (m) {
-        case cu_mode::none: return "none";
-        case cu_mode::l4span: return "l4span";
-        case cu_mode::dualpi2_ran: return "dualpi2_ran";
-        case cu_mode::tcran: return "tcran";
+class writer {
+public:
+    template <class T>
+    static stats::json write(T& x, int index = -1)
+    {
+        writer w(index);
+        fields(w, x);
+        return std::move(w.out_);
     }
-    return "l4span";
-}
 
-cu_mode cu_mode_by_name(binder& b, const char* key, const std::string& name)
-{
-    if (name == "none") return cu_mode::none;
-    if (name == "l4span") return cu_mode::l4span;
-    if (name == "dualpi2_ran") return cu_mode::dualpi2_ran;
-    if (name == "tcran") return cu_mode::tcran;
-    fail(b.origin(), b.line(),
-         "key \"" + b.path() + "." + key + "\": unknown CU mode \"" + name +
-             "\" (valid: none, l4span, dualpi2_ran, tcran)");
-}
+    const int index;
 
-std::string ecn_name(net::ecn e)
-{
-    switch (e) {
-        case net::ecn::not_ect: return "not_ect";
-        case net::ecn::ect0: return "ect0";
-        case net::ecn::ect1: return "ect1";
-        case net::ecn::ce: return "ce";
+    void boolean(const char* key, bool b) { out_.set(key, b); }
+    void number(const char* key, double d, double, double) { out_.set(key, d); }
+    template <class T>
+    void integer(const char* key, T n, long long, long long)
+    {
+        out_.set(key, static_cast<double>(n));
     }
-    return "not_ect";
-}
-
-net::ecn ecn_by_name(binder& b, const char* key, const std::string& name)
-{
-    if (name == "not_ect") return net::ecn::not_ect;
-    if (name == "ect0") return net::ecn::ect0;
-    if (name == "ect1") return net::ecn::ect1;
-    if (name == "ce") return net::ecn::ce;
-    fail(b.origin(), b.line(),
-         "key \"" + b.path() + "." + key + "\": unknown ECN codepoint \"" + name +
-             "\" (valid: not_ect, ect0, ect1, ce)");
-}
-
-// --- sub-spec parsers (parse_x) and exporters (json_of_x) -------------------
-// Every exporter writes every key, always, in one fixed order; every parser
-// accepts exactly those keys. That pairing is what makes export -> parse ->
-// export the byte identity.
-
-topo::impairment_spec parse_impairment(const std::string& origin,
-                                       const stats::json& node,
-                                       const std::string& path, bool top_level)
-{
-    binder b(origin, node, path);
-    topo::impairment_spec s;
-    s.remark_ect1 = b.num_or("remark_ect1", 0.0, 0.0, 1.0);
-    s.bleach_ce = b.num_or("bleach_ce", 0.0, 0.0, 1.0);
-    s.strip_ect = b.num_or("strip_ect", 0.0, 0.0, 1.0);
-    s.loss = b.num_or("loss", 0.0, 0.0, 1.0);
-    s.loss_burst = b.num_or("loss_burst", 1.0, 1.0, 1e6);
-    s.reorder = b.num_or("reorder", 0.0, 0.0, 1.0);
-    s.reorder_gap = static_cast<int>(b.int_or("reorder_gap", 3, 1, 1 << 20));
-    s.reorder_hold_max = ms_to_tick(b.num_or("reorder_hold_max_ms", 20.0, 0.0, 60e3));
-    s.duplicate = b.num_or("duplicate", 0.0, 0.0, 1.0);
-    s.force_stage = b.bool_or("force_stage", false);
-    if (const stats::json* fp = b.opt("flow_policies")) {
-        if (!fp->is_array())
-            b.fail_key("flow_policies", *fp, "must be an array");
-        if (!top_level)
-            b.fail_key("flow_policies", *fp,
-                       "may not nest (per-flow policies are one level deep)");
-        for (std::size_t i = 0; i < fp->elements().size(); ++i)
-            s.flow_policies.push_back(
-                parse_impairment(origin, fp->elements()[i],
-                                 elem_path(path, "flow_policies", i), false));
+    void u64(const char* key, std::uint64_t n) { out_.set(key, n); }
+    void ms(const char* key, sim::tick t, double, double) { out_.set(key, sim::to_ms(t)); }
+    void stop_ms(const char* key, sim::tick t)
+    {
+        out_.set(key, t < 0 ? -1.0 : sim::to_ms(t));
     }
-    b.done();
-    return s;
-}
-
-stats::json json_of_impairment(const topo::impairment_spec& s, bool top_level)
-{
-    auto j = stats::json::object();
-    j.set("remark_ect1", s.remark_ect1)
-        .set("bleach_ce", s.bleach_ce)
-        .set("strip_ect", s.strip_ect)
-        .set("loss", s.loss)
-        .set("loss_burst", s.loss_burst)
-        .set("reorder", s.reorder)
-        .set("reorder_gap", s.reorder_gap)
-        .set("reorder_hold_max_ms", sim::to_ms(s.reorder_hold_max))
-        .set("duplicate", s.duplicate)
-        .set("force_stage", s.force_stage);
-    if (top_level) {
-        auto fp = stats::json::array();
-        for (const auto& p : s.flow_policies)
-            fp.push(json_of_impairment(p, false));
-        j.set("flow_policies", std::move(fp));
+    void seconds(const char* key, sim::tick t, double, double)
+    {
+        out_.set(key, sim::to_sec(t));
     }
-    return j;
-}
-
-aqm::wred_profile parse_wred_profile(const std::string& origin,
-                                     const stats::json& node,
-                                     const std::string& path)
-{
-    binder b(origin, node, path);
-    aqm::wred_profile p;
-    p.min_bytes = static_cast<std::size_t>(
-        b.int_or("min_bytes", 0, 0, 1ll << 40));
-    p.max_bytes = static_cast<std::size_t>(
-        b.int_or("max_bytes", 0, 0, 1ll << 40));
-    p.max_p = b.num_or("max_p", 1.0, 0.0, 1.0);
-    b.done();
-    return p;
-}
-
-stats::json json_of_wred_profile(const aqm::wred_profile& p)
-{
-    auto j = stats::json::object();
-    j.set("min_bytes", static_cast<std::uint64_t>(p.min_bytes))
-        .set("max_bytes", static_cast<std::uint64_t>(p.max_bytes))
-        .set("max_p", p.max_p);
-    return j;
-}
-
-aqm::wred_dualq_config parse_wred(const std::string& origin,
-                                  const stats::json& node, const std::string& path)
-{
-    binder b(origin, node, path);
-    aqm::wred_dualq_config cfg;
-    if (const stats::json* p = b.object("l4s"))
-        cfg.l4s = parse_wred_profile(origin, *p, path + ".l4s");
-    if (const stats::json* p = b.object("classic"))
-        cfg.classic = parse_wred_profile(origin, *p, path + ".classic");
-    cfg.ecn_drop_bytes = static_cast<std::size_t>(
-        b.int_or("ecn_drop_bytes", static_cast<long long>(cfg.ecn_drop_bytes), 0,
-                 1ll << 40));
-    cfg.l4s_weight = static_cast<int>(b.int_or("l4s_weight", cfg.l4s_weight, 1, 1 << 20));
-    cfg.max_bytes = static_cast<std::size_t>(
-        b.int_or("max_bytes", static_cast<long long>(cfg.max_bytes), 1, 1ll << 40));
-    b.done();
-    return cfg;
-}
-
-stats::json json_of_wred(const aqm::wred_dualq_config& cfg)
-{
-    auto j = stats::json::object();
-    j.set("l4s", json_of_wred_profile(cfg.l4s))
-        .set("classic", json_of_wred_profile(cfg.classic))
-        .set("ecn_drop_bytes", static_cast<std::uint64_t>(cfg.ecn_drop_bytes))
-        .set("l4s_weight", cfg.l4s_weight)
-        .set("max_bytes", static_cast<std::uint64_t>(cfg.max_bytes));
-    return j;
-}
-
-core::l4span_config parse_l4s(const std::string& origin, const stats::json& node,
-                              const std::string& path)
-{
-    binder b(origin, node, path);
-    core::l4span_config cfg;
-    cfg.sojourn_threshold = ms_to_tick(
-        b.num_or("sojourn_threshold_ms", sim::to_ms(cfg.sojourn_threshold), 0.1, 10e3));
-    cfg.coherence_time = ms_to_tick(
-        b.num_or("coherence_time_ms", sim::to_ms(cfg.coherence_time), 0.1, 10e3));
-    cfg.short_circuit = b.bool_or("short_circuit", cfg.short_circuit);
-    cfg.drop_non_ecn = b.bool_or("drop_non_ecn", cfg.drop_non_ecn);
-    cfg.error_aware = b.bool_or("error_aware", cfg.error_aware);
-    cfg.classic_beta = b.num_or("classic_beta", cfg.classic_beta, 0.01, 0.99);
-    cfg.mss = static_cast<std::uint32_t>(b.int_or("mss", cfg.mss, 64, 65535));
-    cfg.shared_policy = shared_drb_policy_by_name(
-        b.str_or("shared_policy", shared_drb_policy_name(cfg.shared_policy)));
-    cfg.prune_horizon = ms_to_tick(
-        b.num_or("prune_horizon_ms", sim::to_ms(cfg.prune_horizon), 1.0, 3600e3));
-    b.done();
-    return cfg;
-}
-
-stats::json json_of_l4s(const core::l4span_config& cfg)
-{
-    auto j = stats::json::object();
-    j.set("sojourn_threshold_ms", sim::to_ms(cfg.sojourn_threshold))
-        .set("coherence_time_ms", sim::to_ms(cfg.coherence_time))
-        .set("short_circuit", cfg.short_circuit)
-        .set("drop_non_ecn", cfg.drop_non_ecn)
-        .set("error_aware", cfg.error_aware)
-        .set("classic_beta", cfg.classic_beta)
-        .set("mss", static_cast<int>(cfg.mss))
-        .set("shared_policy", shared_drb_policy_name(cfg.shared_policy))
-        .set("prune_horizon_ms", sim::to_ms(cfg.prune_horizon));
-    return j;
-}
-
-topo::cross_traffic_spec parse_cross(const std::string& origin,
-                                     const stats::json& node,
-                                     const std::string& path)
-{
-    binder b(origin, node, path);
-    topo::cross_traffic_spec s;
-    s.model = b.str_or("model", s.model);
-    if (s.model != "poisson" && s.model != "cbr")
-        fail(origin, b.line(),
-             "key \"" + path + ".model\": unknown model \"" + s.model +
-                 "\" (valid: poisson, cbr)");
-    s.rate_bps = b.num_or("rate_bps", 0.0, 0.0, 1e12);
-    s.pkt_bytes = static_cast<std::uint32_t>(b.int_or("pkt_bytes", s.pkt_bytes, 64, 65535));
-    s.ecn_field = ecn_by_name(b, "ecn", b.str_or("ecn", ecn_name(s.ecn_field)));
-    s.start_time = ms_to_tick(b.num_or("start_ms", 0.0, 0.0, 3600e3));
-    const double stop_ms = b.num_or("stop_ms", -1.0, -1.0, 3600e3);
-    s.stop_time = stop_ms < 0.0 ? -1 : ms_to_tick(stop_ms);
-    s.uplink = b.bool_or("uplink", false);
-    b.done();
-    return s;
-}
-
-stats::json json_of_cross(const topo::cross_traffic_spec& s)
-{
-    auto j = stats::json::object();
-    j.set("model", s.model)
-        .set("rate_bps", s.rate_bps)
-        .set("pkt_bytes", static_cast<int>(s.pkt_bytes))
-        .set("ecn", ecn_name(s.ecn_field))
-        .set("start_ms", sim::to_ms(s.start_time))
-        .set("stop_ms", s.stop_time < 0 ? -1.0 : sim::to_ms(s.stop_time))
-        .set("uplink", s.uplink);
-    return j;
-}
-
-cell_spec parse_cell(const std::string& origin, const stats::json& node,
-                     const std::string& path)
-{
-    binder b(origin, node, path);
-    cell_spec c;
-    c.num_ues = static_cast<int>(b.int_or("num_ues", c.num_ues, 1, 4096));
-    c.channel = b.str_or("channel", c.channel);
-    if (c.channel == "trace")
-        fail(origin, b.line(),
-             "key \"" + path + ".channel\": \"trace\" is not available in "
-             "scenario files (v1) — DCI trace replay needs trace data files; "
-             "use bench_trace_replay (valid: static, pedestrian, vehicular, "
-             "mobile)");
-    c.rlc_queue_sdus = static_cast<std::size_t>(
-        b.int_or("rlc_queue_sdus", static_cast<long long>(c.rlc_queue_sdus), 1,
-                 1ll << 30));
-    c.cu = cu_mode_by_name(b, "cu", b.str_or("cu", cu_mode_name(c.cu)));
-    c.seed = b.u64_or("seed", c.seed);
-    c.separate_drbs_per_class =
-        b.bool_or("separate_drbs_per_class", c.separate_drbs_per_class);
-    c.bottleneck_bps = b.num_or("bottleneck_bps", 0.0, 0.0, 1e12);
-    c.bottleneck_aqm = b.str_or("bottleneck_aqm", c.bottleneck_aqm);
-    if (c.bottleneck_aqm != "fifo" && c.bottleneck_aqm != "dualpi2" &&
-        c.bottleneck_aqm != "wred")
-        fail(origin, b.line(),
-             "key \"" + path + ".bottleneck_aqm\": unknown AQM \"" +
-                 c.bottleneck_aqm + "\" (valid: fifo, dualpi2, wred)");
-    if (const stats::json* w = b.object("wred"))
-        c.wred = parse_wred(origin, *w, path + ".wred");
-    c.ul_bottleneck_bps = b.num_or("ul_bottleneck_bps", 0.0, 0.0, 1e12);
-    if (const stats::json* l = b.object("l4s"))
-        c.l4s = parse_l4s(origin, *l, path + ".l4s");
-    if (const stats::json* i = b.object("impair_dl"))
-        c.impair_dl = parse_impairment(origin, *i, path + ".impair_dl", true);
-    if (const stats::json* i = b.object("impair_ul"))
-        c.impair_ul = parse_impairment(origin, *i, path + ".impair_ul", true);
-    if (const stats::json* x = b.opt("cross_traffic")) {
-        if (!x->is_array()) b.fail_key("cross_traffic", *x, "must be an array");
-        for (std::size_t i = 0; i < x->elements().size(); ++i)
-            c.cross_traffic.push_back(parse_cross(
-                origin, x->elements()[i], elem_path(path, "cross_traffic", i)));
+    template <class Check>
+    void str(const char* key, const std::string& s, Check)
+    {
+        out_.set(key, s);
     }
-    b.done();
-    return c;
-}
-
-stats::json json_of_cell(const cell_spec& c)
-{
-    auto j = stats::json::object();
-    j.set("num_ues", c.num_ues)
-        .set("channel", c.channel)
-        .set("rlc_queue_sdus", static_cast<std::uint64_t>(c.rlc_queue_sdus))
-        .set("cu", cu_mode_name(c.cu))
-        .set("seed", c.seed)
-        .set("separate_drbs_per_class", c.separate_drbs_per_class)
-        .set("bottleneck_bps", c.bottleneck_bps)
-        .set("bottleneck_aqm", c.bottleneck_aqm)
-        .set("wred", json_of_wred(c.wred))
-        .set("ul_bottleneck_bps", c.ul_bottleneck_bps)
-        .set("l4s", json_of_l4s(c.l4s))
-        .set("impair_dl", json_of_impairment(c.impair_dl, true))
-        .set("impair_ul", json_of_impairment(c.impair_ul, true));
-    auto x = stats::json::array();
-    for (const auto& s : c.cross_traffic) x.push(json_of_cross(s));
-    j.set("cross_traffic", std::move(x));
-    return j;
-}
-
-flow_spec parse_flow(const std::string& origin, const stats::json& node,
-                     const std::string& path, int* count_out)
-{
-    binder b(origin, node, path);
-    flow_spec f;
-    f.cca = b.str_or("cca", f.cca);
-    f.ue = static_cast<int>(b.int_or("ue", f.ue, 0, 1 << 20));
-    *count_out = static_cast<int>(b.int_or("count", 1, 1, 4096));
-    f.start_time = ms_to_tick(b.num_or("start_ms", 0.0, 0.0, 3600e3));
-    const double stop_ms = b.num_or("stop_ms", -1.0, -1.0, 3600e3);
-    f.stop_time = stop_ms < 0.0 ? -1 : ms_to_tick(stop_ms);
-    f.flow_bytes = b.u64_or("flow_bytes", f.flow_bytes);
-    f.wired_owd_ms = b.num_or("wired_owd_ms", f.wired_owd_ms, 0.0, 10e3);
-    f.mss = static_cast<std::uint32_t>(b.int_or("mss", f.mss, 64, 65535));
-    f.max_cwnd = b.u64_or("max_cwnd", f.max_cwnd);
-    f.media_max_bps = b.num_or("media_max_bps", f.media_max_bps, 0.0, 1e12);
-    f.media_start_bps = b.num_or("media_start_bps", f.media_start_bps, 0.0, 1e12);
-    f.fps = b.num_or("fps", f.fps, 0.0, 1e3);
-    f.frame_bitrate_bps = b.num_or("frame_bitrate_bps", f.frame_bitrate_bps, 0.0, 1e12);
-    f.keyframe_interval_s = b.num_or("keyframe_interval_s", f.keyframe_interval_s,
-                                     0.01, 3600.0);
-    f.keyframe_scale = b.num_or("keyframe_scale", f.keyframe_scale, 1.0, 1e3);
-    f.frame_deadline_ms = b.num_or("frame_deadline_ms", f.frame_deadline_ms, 0.1,
-                                   10e3);
-    b.done();
-    return f;
-}
-
-stats::json json_of_flow(const flow_spec& f, int count)
-{
-    auto j = stats::json::object();
-    j.set("cca", f.cca)
-        .set("ue", f.ue)
-        .set("count", count)
-        .set("start_ms", sim::to_ms(f.start_time))
-        .set("stop_ms", f.stop_time < 0 ? -1.0 : sim::to_ms(f.stop_time))
-        .set("flow_bytes", f.flow_bytes)
-        .set("wired_owd_ms", f.wired_owd_ms)
-        .set("mss", static_cast<int>(f.mss))
-        .set("max_cwnd", f.max_cwnd)
-        .set("media_max_bps", f.media_max_bps)
-        .set("media_start_bps", f.media_start_bps)
-        .set("fps", f.fps)
-        .set("frame_bitrate_bps", f.frame_bitrate_bps)
-        .set("keyframe_interval_s", f.keyframe_interval_s)
-        .set("keyframe_scale", f.keyframe_scale)
-        .set("frame_deadline_ms", f.frame_deadline_ms);
-    return j;
-}
-
-// --- family parsers / exporters ---------------------------------------------
-
-tcp_grid_family parse_tcp_grid(const std::string& origin, const stats::json& node)
-{
-    binder b(origin, node, "tcp_grid");
-    tcp_grid_family f;
-    f.seed_base = b.u64_or("seed_base", f.seed_base);
-    f.rtts_ms.clear();
-    for (const auto& v : b.array("rtts_ms").elements()) {
-        if (!v.is_number() || v.as_number() < 0.0 || v.as_number() > 10e3)
-            fail(origin, v.line(),
-                 "key \"tcp_grid.rtts_ms\" entries must be numbers in [0, 10000]");
-        f.rtts_ms.push_back(v.as_number());
+    void str(const char* key, const std::string& s) { out_.set(key, s); }
+    template <class Table>
+    void choice(const char* key, const std::string& s, const char*, const Table&)
+    {
+        out_.set(key, s);
     }
-    f.queues_sdus.clear();
-    for (const auto& v : b.array("queues_sdus").elements()) {
-        if (!v.is_number() || v.as_number() < 1 || v.as_number() > (1 << 30) ||
-            v.as_number() != std::floor(v.as_number()))
-            fail(origin, v.line(),
-                 "key \"tcp_grid.queues_sdus\" entries must be integers >= 1");
-        f.queues_sdus.push_back(static_cast<std::size_t>(v.as_number()));
+    template <class E, std::size_t N>
+    void choice(const char* key, E value, const char*, const named<E> (&table)[N])
+    {
+        out_.set(key, name_of(table, value));
     }
-    f.ue_counts.clear();
-    for (const auto& v : b.array("ue_counts").elements()) {
-        if (!v.is_number() || v.as_number() < 1 || v.as_number() > 4096 ||
-            v.as_number() != std::floor(v.as_number()))
-            fail(origin, v.line(),
-                 "key \"tcp_grid.ue_counts\" entries must be integers in [1, 4096]");
-        f.ue_counts.push_back(static_cast<int>(v.as_number()));
-    }
-    f.ccas.clear();
-    for (const auto& v : b.array("ccas").elements()) {
-        if (!v.is_string())
-            fail(origin, v.line(), "key \"tcp_grid.ccas\" entries must be strings");
-        f.ccas.push_back(v.as_string());
-    }
-    f.channels.clear();
-    for (const auto& v : b.array("channels").elements()) {
-        if (!v.is_string())
-            fail(origin, v.line(),
-                 "key \"tcp_grid.channels\" entries must be strings");
-        f.channels.push_back(v.as_string());
-    }
-    b.done();
-    return f;
-}
+    void constant(const char* key, const char* value) { out_.set(key, value); }
+    void fallback(const std::string&, const std::string&) {}
 
-stats::json json_of_tcp_grid(const tcp_grid_family& f)
-{
-    auto j = stats::json::object();
-    j.set("seed_base", f.seed_base);
-    auto rtts = stats::json::array();
-    for (double v : f.rtts_ms) rtts.push(v);
-    j.set("rtts_ms", std::move(rtts));
-    auto queues = stats::json::array();
-    for (std::size_t v : f.queues_sdus) queues.push(static_cast<std::uint64_t>(v));
-    j.set("queues_sdus", std::move(queues));
-    auto ues = stats::json::array();
-    for (int v : f.ue_counts) ues.push(v);
-    j.set("ue_counts", std::move(ues));
-    auto ccas = stats::json::array();
-    for (const auto& v : f.ccas) ccas.push(v);
-    j.set("ccas", std::move(ccas));
-    auto chans = stats::json::array();
-    for (const auto& v : f.channels) chans.push(v);
-    j.set("channels", std::move(chans));
-    return j;
-}
+    template <class T>
+    void object(const char* key, T& member)
+    {
+        out_.set(key, write(member));
+    }
 
-shared_drb_family parse_shared_drb(const std::string& origin, const stats::json& node)
-{
-    binder b(origin, node, "shared_drb");
-    shared_drb_family f;
-    f.seed = b.u64_or("seed", f.seed);
-    const stats::json& strategies = b.array("strategies");
-    for (std::size_t i = 0; i < strategies.elements().size(); ++i) {
-        const std::string path = elem_path("shared_drb", "strategies", i);
-        binder sb(origin, strategies.elements()[i], path);
-        shared_drb_family::strategy st;
-        st.label = sb.str_or("label", "");
-        try {
-            st.policy = shared_drb_policy_by_name(
-                sb.str_or("policy", "coupled"));
-        } catch (const scenario_error& e) {
-            fail(origin, sb.line(), "key \"" + path + ".policy\": " + e.what());
+    template <class T>
+    void objects(const char* key, std::vector<T>& items, need n)
+    {
+        if (n == need::never) return;
+        auto a = stats::json::array();
+        for (std::size_t i = 0; i < items.size(); ++i)
+            a.push(write(items[i], static_cast<int>(i)));
+        out_.set(key, std::move(a));
+    }
+
+    template <class T>
+    void values(const char* key, const std::vector<T>& items, const char*,
+                double = 0.0, double = 0.0)
+    {
+        auto a = stats::json::array();
+        for (const T& e : items) {
+            if constexpr (std::is_arithmetic_v<T> && !std::is_same_v<T, bool>)
+                a.push(static_cast<double>(e));
+            else
+                a.push(e);
         }
-        if (st.label.empty()) st.label = shared_drb_policy_name(st.policy);
-        sb.done();
-        f.strategies.push_back(std::move(st));
+        out_.set(key, std::move(a));
     }
-    b.done();
-    return f;
+
+    void family(const char* key, scenario_spec& s)
+    {
+        out_.set(key, s.family);
+        bool known = false;
+        for_each_family(s, [&](const char* name, auto& block) {
+            if (s.family != name) return;
+            known = true;
+            object(name, block);
+        });
+        if (!known)
+            throw scenario_error("export_scenario: unknown family \"" + s.family + "\"");
+    }
+
+private:
+    explicit writer(int index) : index(index) {}
+
+    stats::json out_ = stats::json::object();
+};
+
+// --- semantic checks per family block -------------------------------------------
+
+void require(bool ok, const std::string& msg)
+{
+    if (!ok) throw scenario_error(msg);
 }
 
-stats::json json_of_shared_drb(const shared_drb_family& f)
+// Sub-spec validate() calls throw std::invalid_argument; surface them as
+// scenario_error.
+template <class Fn>
+void as_scenario_error(Fn&& fn)
 {
-    auto j = stats::json::object();
-    j.set("seed", f.seed);
-    auto strategies = stats::json::array();
-    for (const auto& st : f.strategies) {
-        auto js = stats::json::object();
-        js.set("label", st.label).set("policy", shared_drb_policy_name(st.policy));
-        strategies.push(std::move(js));
+    try {
+        fn();
+    } catch (const std::invalid_argument& e) {
+        throw scenario_error(e.what());
     }
-    j.set("strategies", std::move(strategies));
-    return j;
 }
 
-ecn_impairment_family parse_ecn_impairment(const std::string& origin,
-                                           const stats::json& node)
+void check(const tcp_grid_family& f, sim::tick)
 {
-    binder b(origin, node, "ecn_impairment");
-    ecn_impairment_family f;
-    f.seed = b.u64_or("seed", f.seed);
-    f.ues = static_cast<int>(b.int_or("ues", f.ues, 1, 4096));
-    f.bottleneck_bps = b.num_or("bottleneck_bps", f.bottleneck_bps, 1e3, 1e12);
-    f.bottleneck_aqm = b.str_or("bottleneck_aqm", f.bottleneck_aqm);
-    if (f.bottleneck_aqm != "fifo" && f.bottleneck_aqm != "dualpi2" &&
-        f.bottleneck_aqm != "wred")
-        fail(origin, b.line(),
-             "key \"ecn_impairment.bottleneck_aqm\": unknown AQM \"" +
-                 f.bottleneck_aqm + "\" (valid: fifo, dualpi2, wred)");
-    f.cross_rate_bps = b.num_or("cross_rate_bps", f.cross_rate_bps, 0.0, 1e12);
-    f.cross_options.clear();
-    for (const auto& v : b.array("cross_options").elements()) {
-        if (!v.is_bool())
-            fail(origin, v.line(),
-                 "key \"ecn_impairment.cross_options\" entries must be booleans");
-        f.cross_options.push_back(v.as_bool());
-    }
-    const stats::json& ccas = b.array("ccas");
-    for (std::size_t i = 0; i < ccas.elements().size(); ++i) {
-        const std::string path = elem_path("ecn_impairment", "ccas", i);
-        binder cb(origin, ccas.elements()[i], path);
-        ecn_impairment_family::transport t;
-        t.cca = cb.str_or("cca", "prague");
-        t.label = cb.str_or("label", t.cca);
-        cb.done();
-        f.ccas.push_back(std::move(t));
-    }
-    const stats::json& profiles = b.array("profiles");
-    for (std::size_t i = 0; i < profiles.elements().size(); ++i) {
-        const std::string path = elem_path("ecn_impairment", "profiles", i);
-        binder pb(origin, profiles.elements()[i], path);
-        ecn_impairment_family::profile p;
-        p.name = pb.str_or("name", "profile" + std::to_string(i));
-        p.drop_non_ecn = pb.bool_or("drop_non_ecn", false);
-        if (const stats::json* imp = pb.object("impair"))
-            p.impair = parse_impairment(origin, *imp, path + ".impair", true);
-        pb.done();
-        f.profiles.push_back(std::move(p));
-    }
-    b.done();
-    return f;
+    require(!f.rtts_ms.empty() && !f.queues_sdus.empty() && !f.ue_counts.empty() &&
+                !f.ccas.empty() && !f.channels.empty(),
+            "tcp_grid: every axis (rtts_ms, queues_sdus, ue_counts, ccas, "
+            "channels) needs at least one entry");
 }
 
-stats::json json_of_ecn_impairment(const ecn_impairment_family& f)
+void check(const shared_drb_family& f, sim::tick)
 {
-    auto j = stats::json::object();
-    j.set("seed", f.seed)
-        .set("ues", f.ues)
-        .set("bottleneck_bps", f.bottleneck_bps)
-        .set("bottleneck_aqm", f.bottleneck_aqm)
-        .set("cross_rate_bps", f.cross_rate_bps);
-    auto cross = stats::json::array();
-    for (bool v : f.cross_options) cross.push(v);
-    j.set("cross_options", std::move(cross));
-    auto ccas = stats::json::array();
-    for (const auto& t : f.ccas) {
-        auto jt = stats::json::object();
-        jt.set("cca", t.cca).set("label", t.label);
-        ccas.push(std::move(jt));
-    }
-    j.set("ccas", std::move(ccas));
-    auto profiles = stats::json::array();
-    for (const auto& p : f.profiles) {
-        auto jp = stats::json::object();
-        jp.set("name", p.name)
-            .set("drop_non_ecn", p.drop_non_ecn)
-            .set("impair", json_of_impairment(p.impair, true));
-        profiles.push(std::move(jp));
-    }
-    j.set("profiles", std::move(profiles));
-    return j;
+    require(!f.strategies.empty(), "shared_drb.strategies needs at least one entry");
 }
 
-fault_chaos_family parse_fault_chaos(const std::string& origin,
-                                     const stats::json& node)
+void check(const ecn_impairment_family& f, sim::tick)
 {
-    binder b(origin, node, "fault_chaos");
-    fault_chaos_family f;
-    f.num_cells = static_cast<int>(b.int_or("num_cells", f.num_cells, 1, 64));
-    f.ues_per_cell = static_cast<int>(b.int_or("ues_per_cell", f.ues_per_cell, 1, 256));
-    f.cell_seed = b.u64_or("cell_seed", f.cell_seed);
-    f.wired_bps = b.num_or("wired_bps", f.wired_bps, 1e3, 1e12);
-    f.fault_seed = b.u64_or("fault_seed", f.fault_seed);
-    f.fault_start_ms = b.num_or("fault_start_ms", f.fault_start_ms, 0.0, 3600e3);
-    f.fault_end_margin_ms =
-        b.num_or("fault_end_margin_ms", f.fault_end_margin_ms, 0.0, 3600e3);
-    const stats::json& profiles = b.array("profiles");
-    for (std::size_t i = 0; i < profiles.elements().size(); ++i) {
-        const std::string path = elem_path("fault_chaos", "profiles", i);
-        binder pb(origin, profiles.elements()[i], path);
-        fault_chaos_family::profile p;
-        p.name = pb.str_or("name", "profile" + std::to_string(i));
-        p.rlf_per_ue_per_sec = pb.num_or("rlf_per_ue_per_sec", 0.0, 0.0, 100.0);
-        p.ho_failure_per_ue_per_sec =
-            pb.num_or("ho_failure_per_ue_per_sec", 0.0, 0.0, 100.0);
-        p.outages_per_cell_per_sec =
-            pb.num_or("outages_per_cell_per_sec", 0.0, 0.0, 100.0);
-        p.flaps_per_cell_per_sec =
-            pb.num_or("flaps_per_cell_per_sec", 0.0, 0.0, 100.0);
-        pb.done();
-        f.profiles.push_back(std::move(p));
-    }
-    const stats::json& transports = b.array("transports");
-    for (std::size_t i = 0; i < transports.elements().size(); ++i) {
-        const std::string path = elem_path("fault_chaos", "transports", i);
-        binder tb(origin, transports.elements()[i], path);
-        fault_chaos_family::transport t;
-        t.cca = tb.str_or("cca", "prague");
-        t.media = tb.bool_or("media", false);
-        tb.done();
-        f.transports.push_back(std::move(t));
-    }
-    b.done();
-    return f;
+    require(!f.ccas.empty() && !f.profiles.empty() && !f.cross_options.empty(),
+            "ecn_impairment: ccas, profiles and cross_options each need at "
+            "least one entry");
+    as_scenario_error([&] {
+        for (std::size_t i = 0; i < f.profiles.size(); ++i)
+            f.profiles[i].impair.validate("ecn_impairment.profiles[" +
+                                          std::to_string(i) + "].impair");
+    });
 }
 
-stats::json json_of_fault_chaos(const fault_chaos_family& f)
+void check(const fault_chaos_family& f, sim::tick duration)
 {
-    auto j = stats::json::object();
-    j.set("num_cells", f.num_cells)
-        .set("ues_per_cell", f.ues_per_cell)
-        .set("cell_seed", f.cell_seed)
-        .set("wired_bps", f.wired_bps)
-        .set("fault_seed", f.fault_seed)
-        .set("fault_start_ms", f.fault_start_ms)
-        .set("fault_end_margin_ms", f.fault_end_margin_ms);
-    auto profiles = stats::json::array();
-    for (const auto& p : f.profiles) {
-        auto jp = stats::json::object();
-        jp.set("name", p.name)
-            .set("rlf_per_ue_per_sec", p.rlf_per_ue_per_sec)
-            .set("ho_failure_per_ue_per_sec", p.ho_failure_per_ue_per_sec)
-            .set("outages_per_cell_per_sec", p.outages_per_cell_per_sec)
-            .set("flaps_per_cell_per_sec", p.flaps_per_cell_per_sec);
-        profiles.push(std::move(jp));
-    }
-    j.set("profiles", std::move(profiles));
-    auto transports = stats::json::array();
-    for (const auto& t : f.transports) {
-        auto jt = stats::json::object();
-        jt.set("cca", t.cca).set("media", t.media);
-        transports.push(std::move(jt));
-    }
-    j.set("transports", std::move(transports));
-    return j;
+    require(!f.profiles.empty() && !f.transports.empty(),
+            "fault_chaos: profiles and transports each need at least one entry");
+    require(sim::from_ms(f.fault_start_ms) + sim::from_ms(f.fault_end_margin_ms) <
+                duration,
+            "fault_chaos: fault_start_ms + fault_end_margin_ms must leave a "
+            "non-empty fault window inside duration_s");
 }
 
-cell_flows_family parse_cell_flows(const std::string& origin,
-                                   const stats::json& node)
+void check(const cell_flows_family& f, sim::tick)
 {
-    binder b(origin, node, "cell_flows");
-    cell_flows_family f;
-    f.seeds.clear();
-    for (const auto& v : b.array("seeds").elements()) {
-        if (!v.is_number() || v.as_number() < 0 || v.as_number() > k_max_exact ||
-            v.as_number() != std::floor(v.as_number()))
-            fail(origin, v.line(),
-                 "key \"cell_flows.seeds\" entries must be non-negative integers");
-        f.seeds.push_back(static_cast<std::uint64_t>(v.as_number()));
-    }
-    if (const stats::json* c = b.object("cell"))
-        f.cell = parse_cell(origin, *c, "cell_flows.cell");
-    const stats::json& flows = b.array("flows");
-    for (std::size_t i = 0; i < flows.elements().size(); ++i) {
-        cell_flows_family::flow fl;
-        fl.spec = parse_flow(origin, flows.elements()[i],
-                             elem_path("cell_flows", "flows", i), &fl.count);
-        f.flows.push_back(std::move(fl));
-    }
-    b.done();
-    return f;
-}
-
-stats::json json_of_cell_flows(const cell_flows_family& f)
-{
-    auto j = stats::json::object();
-    auto seeds = stats::json::array();
-    for (std::uint64_t v : f.seeds) seeds.push(v);
-    j.set("seeds", std::move(seeds));
-    j.set("cell", json_of_cell(f.cell));
-    auto flows = stats::json::array();
-    for (const auto& fl : f.flows) flows.push(json_of_flow(fl.spec, fl.count));
-    j.set("flows", std::move(flows));
-    return j;
+    require(!f.seeds.empty(), "cell_flows.seeds needs at least one entry");
+    require(!f.flows.empty(), "cell_flows.flows needs at least one entry");
+    as_scenario_error([&] {
+        f.cell.impair_dl.validate("cell_flows.cell.impair_dl");
+        f.cell.impair_ul.validate("cell_flows.cell.impair_ul");
+        f.cell.wred.validate("cell_flows.cell.wred");
+        for (std::size_t i = 0; i < f.cell.cross_traffic.size(); ++i)
+            f.cell.cross_traffic[i].validate("cell_flows.cell.cross_traffic[" +
+                                             std::to_string(i) + "]");
+    });
+    for (const auto& fl : f.flows)
+        require(fl.spec.ue + fl.count <= f.cell.num_ues,
+                "cell_flows.flows: flow on ue " + std::to_string(fl.spec.ue) +
+                    " with count " + std::to_string(fl.count) +
+                    " exceeds cell.num_ues (" + std::to_string(f.cell.num_ues) + ")");
 }
 
 }  // namespace
 
 std::string shared_drb_policy_name(core::shared_drb_policy p)
 {
-    switch (p) {
-        case core::shared_drb_policy::original: return "original";
-        case core::shared_drb_policy::l4s_all: return "l4s_all";
-        case core::shared_drb_policy::classic_all: return "classic_all";
-        case core::shared_drb_policy::coupled: return "coupled";
-    }
-    return "coupled";
+    return name_of(k_policies, p);
 }
 
 core::shared_drb_policy shared_drb_policy_by_name(const std::string& name)
 {
-    if (name == "original") return core::shared_drb_policy::original;
-    if (name == "l4s_all") return core::shared_drb_policy::l4s_all;
-    if (name == "classic_all") return core::shared_drb_policy::classic_all;
-    if (name == "coupled") return core::shared_drb_policy::coupled;
-    throw scenario_error("unknown shared-DRB policy \"" + name +
-                         "\" (valid: original, l4s_all, classic_all, coupled)");
+    for (const auto& e : k_policies)
+        if (name == e.name) return e.value;
+    throw scenario_error("unknown shared-DRB policy \"" + name + "\" (valid: " +
+                         join(k_policies) + ")");
 }
 
 void scenario_spec::validate() const
 {
-    const auto require = [](bool ok, const std::string& msg) {
-        if (!ok) throw scenario_error(msg);
-    };
     require(duration > 0, "duration_s must be > 0");
-    if (family == "tcp_grid") {
-        require(!tcp_grid.rtts_ms.empty() && !tcp_grid.queues_sdus.empty() &&
-                    !tcp_grid.ue_counts.empty() && !tcp_grid.ccas.empty() &&
-                    !tcp_grid.channels.empty(),
-                "tcp_grid: every axis (rtts_ms, queues_sdus, ue_counts, ccas, "
-                "channels) needs at least one entry");
-    } else if (family == "shared_drb") {
-        require(!shared_drb.strategies.empty(),
-                "shared_drb.strategies needs at least one entry");
-    } else if (family == "ecn_impairment") {
-        require(!ecn_impairment.ccas.empty() && !ecn_impairment.profiles.empty() &&
-                    !ecn_impairment.cross_options.empty(),
-                "ecn_impairment: ccas, profiles and cross_options each need at "
-                "least one entry");
-        try {
-            for (std::size_t i = 0; i < ecn_impairment.profiles.size(); ++i)
-                ecn_impairment.profiles[i].impair.validate(
-                    "ecn_impairment.profiles[" + std::to_string(i) + "].impair");
-        } catch (const std::invalid_argument& e) {
-            throw scenario_error(e.what());
-        }
-    } else if (family == "fault_chaos") {
-        require(!fault_chaos.profiles.empty() && !fault_chaos.transports.empty(),
-                "fault_chaos: profiles and transports each need at least one "
-                "entry");
-        require(sim::from_ms(fault_chaos.fault_start_ms) +
-                        sim::from_ms(fault_chaos.fault_end_margin_ms) <
-                    duration,
-                "fault_chaos: fault_start_ms + fault_end_margin_ms must leave a "
-                "non-empty fault window inside duration_s");
-    } else if (family == "cell_flows") {
-        require(!cell_flows.seeds.empty(), "cell_flows.seeds needs at least one entry");
-        require(!cell_flows.flows.empty(), "cell_flows.flows needs at least one entry");
-        try {
-            cell_flows.cell.impair_dl.validate("cell_flows.cell.impair_dl");
-            cell_flows.cell.impair_ul.validate("cell_flows.cell.impair_ul");
-            cell_flows.cell.wred.validate("cell_flows.cell.wred");
-            for (std::size_t i = 0; i < cell_flows.cell.cross_traffic.size(); ++i)
-                cell_flows.cell.cross_traffic[i].validate(
-                    "cell_flows.cell.cross_traffic[" + std::to_string(i) + "]");
-        } catch (const std::invalid_argument& e) {
-            throw scenario_error(e.what());
-        }
-        for (const auto& fl : cell_flows.flows)
-            require(fl.spec.ue + fl.count <= cell_flows.cell.num_ues,
-                    "cell_flows.flows: flow on ue " + std::to_string(fl.spec.ue) +
-                        " with count " + std::to_string(fl.count) +
-                        " exceeds cell.num_ues (" +
-                        std::to_string(cell_flows.cell.num_ues) + ")");
-    } else {
-        throw scenario_error("unknown family \"" + family +
-                             "\" (valid: tcp_grid, shared_drb, ecn_impairment, "
-                             "fault_chaos, cell_flows)");
-    }
+    bool known = false;
+    for_each_family(*this, [&](const char* name, const auto& block) {
+        if (family != name) return;
+        known = true;
+        check(block, duration);
+    });
+    if (!known)
+        throw scenario_error("unknown family \"" + family + "\" (valid: " +
+                             family_names(*this) + ")");
 }
 
 scenario_spec parse_scenario_text(std::string_view text, const std::string& origin)
@@ -911,58 +833,12 @@ scenario_spec parse_scenario_text(std::string_view text, const std::string& orig
     } catch (const stats::json_parse_error& e) {
         throw scenario_error(origin + ": " + e.what());
     }
-    binder b(origin, doc, "$");
+    reader r(origin, doc, "$");
     scenario_spec spec;
-    const std::string schema = b.str_or("schema", "");
-    if (schema != k_scenario_schema)
-        fail(origin, doc.line(),
-             "key \"$.schema\" must be \"" + std::string(k_scenario_schema) +
-                 "\", got \"" + schema + "\"");
-    spec.figure = b.str_or("figure", "scenario");
-    spec.title = b.str_or("title", "scenario");
-    spec.paper_ref = b.str_or("paper_ref", "custom scenario");
-    spec.quick = b.bool_or("quick", false);
-    spec.duration = sec_to_tick(b.num_or("duration_s", 0.0, 0.001, 3600.0));
-    spec.family = b.str_or("family", "");
-    const stats::json* section = nullptr;
-    if (spec.family == "tcp_grid") {
-        section = b.object("tcp_grid");
-        if (section) spec.tcp_grid = parse_tcp_grid(origin, *section);
-    } else if (spec.family == "shared_drb") {
-        section = b.object("shared_drb");
-        if (section) spec.shared_drb = parse_shared_drb(origin, *section);
-    } else if (spec.family == "ecn_impairment") {
-        section = b.object("ecn_impairment");
-        if (section) spec.ecn_impairment = parse_ecn_impairment(origin, *section);
-    } else if (spec.family == "fault_chaos") {
-        section = b.object("fault_chaos");
-        if (section) spec.fault_chaos = parse_fault_chaos(origin, *section);
-    } else if (spec.family == "cell_flows") {
-        section = b.object("cell_flows");
-        if (section) spec.cell_flows = parse_cell_flows(origin, *section);
-    } else {
-        fail(origin, doc.line(),
-             "key \"$.family\": unknown family \"" + spec.family +
-                 "\" (valid: tcp_grid, shared_drb, ecn_impairment, fault_chaos, "
-                 "cell_flows)");
-    }
-    if (!section)
-        fail(origin, doc.line(),
-             "missing section \"$." + spec.family +
-                 "\" (the family names its parameter block)");
-    // The other four family keys must not also be present: two parameter
-    // blocks with one family selector is a scenario that silently ignores
-    // half its content — diagnose instead.
-    for (const char* other : {"tcp_grid", "shared_drb", "ecn_impairment",
-                              "fault_chaos", "cell_flows"}) {
-        if (other == spec.family) continue;
-        if (const stats::json* stray = b.opt(other))
-            fail(origin, stray->line(),
-                 "section \"$." + std::string(other) +
-                     "\" present but family is \"" + spec.family +
-                     "\" — remove it or change $.family");
-    }
-    b.done();
+    spec.figure = spec.title = "scenario";
+    spec.paper_ref = "custom scenario";
+    fields(r, spec);
+    r.done();
     try {
         spec.validate();
     } catch (const scenario_error& e) {
@@ -981,28 +857,8 @@ scenario_spec load_scenario_file(const std::string& path)
 
 stats::json export_scenario(const scenario_spec& spec)
 {
-    auto j = stats::json::object();
-    j.set("schema", k_scenario_schema)
-        .set("figure", spec.figure)
-        .set("title", spec.title)
-        .set("paper_ref", spec.paper_ref)
-        .set("quick", spec.quick)
-        .set("duration_s", sim::to_sec(spec.duration))
-        .set("family", spec.family);
-    if (spec.family == "tcp_grid")
-        j.set("tcp_grid", json_of_tcp_grid(spec.tcp_grid));
-    else if (spec.family == "shared_drb")
-        j.set("shared_drb", json_of_shared_drb(spec.shared_drb));
-    else if (spec.family == "ecn_impairment")
-        j.set("ecn_impairment", json_of_ecn_impairment(spec.ecn_impairment));
-    else if (spec.family == "fault_chaos")
-        j.set("fault_chaos", json_of_fault_chaos(spec.fault_chaos));
-    else if (spec.family == "cell_flows")
-        j.set("cell_flows", json_of_cell_flows(spec.cell_flows));
-    else
-        throw scenario_error("export_scenario: unknown family \"" + spec.family +
-                             "\"");
-    return j;
+    scenario_spec copy = spec;
+    return writer::write(copy);
 }
 
 int write_scenario_file(const std::string& path, const scenario_spec& spec)

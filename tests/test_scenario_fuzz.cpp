@@ -302,3 +302,23 @@ TEST(scenario_fuzz, every_key_type_error_names_key_path_and_line)
     }
     EXPECT_EQ(probed, 320);
 }
+
+TEST(scenario_fuzz, wred_partial_profile_keeps_config_defaults)
+{
+    // Keys omitted from a nested object keep the struct's defaults: a
+    // partial wred.l4s ramp must not collapse min/max to 0 (which would mark
+    // every L4S packet from an empty queue).
+    auto spec = wred_cell_flows_spec();
+    spec.cell_flows.cell.wred = aqm::wred_dualq_config{};
+    std::string text = export_scenario(spec).dump();
+    const std::string needle = "\"l4s\": {";
+    const auto from = text.find(needle);
+    ASSERT_NE(from, std::string::npos);
+    const auto to = text.find('}', from);
+    text.replace(from, to + 1 - from, "\"l4s\": {\"max_p\": 0.5}");
+    const auto parsed = parse_scenario_text(text, "<partial>");
+    const auto& l4s = parsed.cell_flows.cell.wred.l4s;
+    EXPECT_EQ(l4s.min_bytes, 12112u);
+    EXPECT_EQ(l4s.max_bytes, 96896u);
+    EXPECT_DOUBLE_EQ(l4s.max_p, 0.5);
+}
