@@ -15,11 +15,11 @@
 #include <functional>
 #include <vector>
 
-#include "bench_util.h"
 #include "chan/fading.h"
 #include "chan/mcs.h"
 #include "chan/trace_channel.h"
 #include "chan/trace_io.h"
+#include "scenario/bench_format.h"
 #include "scenario/grid_runner.h"
 #include "stats/json.h"
 #include "stats/sample_set.h"

@@ -15,11 +15,11 @@
 #include <vector>
 
 #include "aqm/dualpi2.h"
-#include "bench_util.h"
 #include "core/l4span.h"
 #include "net/packet_pool.h"
 #include "ran/mac.h"
 #include "ran/rlc.h"
+#include "scenario/bench_format.h"
 #include "stats/json.h"
 #include "stats/table.h"
 

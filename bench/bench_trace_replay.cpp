@@ -15,9 +15,9 @@
 #include <memory>
 #include <vector>
 
-#include "bench_util.h"
 #include "chan/trace_channel.h"
 #include "chan/trace_io.h"
+#include "scenario/bench_format.h"
 #include "scenario/grid_runner.h"
 #include "scenario/topology.h"
 #include "stats/json.h"
