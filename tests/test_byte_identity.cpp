@@ -270,6 +270,39 @@ std::uint64_t trace_replay_digest()
     return d.h;
 }
 
+// A cell_mixed-shaped cell: every UE has a Prague and a CUBIC download on
+// separate DRBs and every fourth adds quic-prague, over the pedestrian
+// channel. Each ACK re-arms a TCP RTO or QUIC PTO hundreds of milliseconds
+// out, so most of the event queue's pushes are timers that get cancelled
+// long before they are due.
+std::uint64_t mixed_transport_digest()
+{
+    scenario::cell_spec cell;
+    cell.num_ues = 8;
+    cell.channel = "pedestrian";
+    cell.cu = scenario::cu_mode::l4span;
+    cell.separate_drbs_per_class = true;
+    cell.seed = 57;
+    scenario::cell_scenario s(cell);
+    std::vector<int> handles;
+    for (int u = 0; u < cell.num_ues; ++u) {
+        std::vector<const char*> ccas{"prague", "cubic"};
+        if (u % 4 == 0) ccas.push_back("quic-prague");
+        for (const char* cca : ccas) {
+            scenario::flow_spec f;
+            f.cca = cca;
+            f.ue = u;
+            handles.push_back(s.add_flow(f));
+        }
+    }
+    s.run(sim::from_sec(5));
+
+    digest d;
+    add_flows(d, s, handles);
+    d.add(static_cast<std::uint64_t>(s.sim_wallclock_events()));
+    return d.h;
+}
+
 std::uint64_t fig09_grid_digest()
 {
     digest d;
@@ -283,6 +316,8 @@ constexpr std::uint64_t k_handover_topology = 0x0828dc3897a7d5d1ull;
 constexpr std::uint64_t k_proportional_fair = 0xc0d9f16821e86cd8ull;
 constexpr std::uint64_t k_trace_replay = 0xc12cf5796b99660bull;
 constexpr std::uint64_t k_fig09_grid = 0xe4db28194ef17054ull;
+// Pinned on the simulator before the timing-wheel event queue.
+constexpr std::uint64_t k_mixed_transport = 0xb9751ad0c49546fcull;
 
 TEST(golden_digest, handover_topology_jobs1)
 {
@@ -302,6 +337,11 @@ TEST(golden_digest, proportional_fair_cell)
 TEST(golden_digest, trace_replay_cell)
 {
     EXPECT_EQ(trace_replay_digest(), k_trace_replay);
+}
+
+TEST(golden_digest, mixed_transport_cell)
+{
+    EXPECT_EQ(mixed_transport_digest(), k_mixed_transport);
 }
 
 TEST(golden_digest, fig09_grid)
