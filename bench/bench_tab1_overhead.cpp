@@ -187,8 +187,8 @@ int main(int argc, char** argv)
     auto summary = stats::json::object();
     summary.set("figure", "tab1").set("quick", args.quick);
 
-    std::printf("\nEvent-loop scheduling overhead (pooled slab + SBO callbacks;"
-                " baseline\nshared_ptr/std::function design: 84/510/88 ns):\n");
+    std::printf("\nEvent-loop scheduling overhead (pooled slab + timing wheel + SBO"
+                " callbacks;\nbaseline shared_ptr/std::function design: 84/510/88 ns):\n");
     stats::table micro({"micro", "ns/event"});
     auto micro_json = stats::json::object();
     const struct {

@@ -112,8 +112,7 @@ private:
         if (cap_ != 0 && (size_ + tombs_ + 1) * 8 <= cap_ * 7) return;
         // Double only when live entries need the room; under tombstone
         // pressure rehash at the same capacity instead. Erase-heavy users
-        // (the event loop's timestamp map retires ~30k buckets per simulated
-        // second) would otherwise double the table forever on dead slots.
+        // would otherwise double the table forever on dead slots.
         const std::size_t new_cap =
             cap_ == 0 ? 16 : ((size_ + 1) * 2 > cap_ ? cap_ * 2 : cap_);
         std::vector<std::uint8_t> ctrl(new_cap, k_empty);

@@ -1,19 +1,45 @@
 #include "sim/event_loop.h"
 
+#include <algorithm>
+#include <bit>
+
 namespace l4span::sim {
+
+namespace {
+
+// Min-heap order on (when, seq) for std::push_heap / std::pop_heap.
+struct later {
+    template <typename T>
+    bool operator()(const T& a, const T& b) const
+    {
+        return a.e.when != b.e.when ? a.e.when > b.e.when : a.seq > b.seq;
+    }
+};
+
+}  // namespace
 
 void event_loop::run_until(tick until)
 {
-    while (!bheap_.empty()) {
-        bucket& b = buckets_[bheap_[0].bi];
-        const entry e = b.q.front();
-        if (slab_[e.slot].gen != e.gen) {  // cancelled: drop regardless of when
-            b.q.pop_front();
-            if (b.q.empty()) retire_top_bucket();
-            continue;
+    if (until >= now_) {  // nothing pending can be earlier than now()
+        const std::uint64_t last = bucket_of(until);
+        for (;;) {
+            if (run_pos_ == run_.size()) {
+                // Enter the next bucket only if it can hold an event <= until,
+                // so the cursor never runs ahead of the window.
+                const std::uint64_t b = next_bucket();
+                if (b == k_none || b > last) break;
+                enter(b);
+                continue;
+            }
+            const entry e = run_[run_pos_];
+            if (slab_[e.slot].gen != e.gen) {  // cancelled: drop regardless of when
+                ++run_pos_;
+                continue;
+            }
+            if (e.when > until) break;
+            ++run_pos_;
+            fire(e);
         }
-        if (b.when > until) break;
-        run_one();
     }
     if (now_ < until) now_ = until;
 }
@@ -24,72 +50,86 @@ void event_loop::run()
     }
 }
 
-void event_loop::push_new_bucket(tick when, std::uint32_t s, std::uint32_t gen)
+void event_loop::run_insert(const entry& e)
 {
-    std::uint32_t bi;
-    if (!bucket_free_.empty()) {
-        bi = bucket_free_.back();  // recycled ring keeps its capacity
-        bucket_free_.pop_back();
-    } else {
-        bi = static_cast<std::uint32_t>(buckets_.size());
-        buckets_.emplace_back();
-    }
-    buckets_[bi].when = when;
-    buckets_[bi].q.push_back({s, gen});
-    when_map_[when] = bi;
-    cached_bucket_ = bi;
-    bheap_push({when, bi});
+    auto pos = run_.end();
+    const auto first = run_.begin() + static_cast<std::ptrdiff_t>(run_pos_);
+    while (pos != first && (pos - 1)->when > e.when) --pos;
+    run_.insert(pos, e);
 }
 
-void event_loop::retire_top_bucket()
+void event_loop::compact_run()
 {
-    const std::uint32_t bi = bheap_[0].bi;
-    when_map_.erase(buckets_[bi].when);
-    if (cached_bucket_ == bi) cached_bucket_ = k_npos;
-    bucket_free_.push_back(bi);
-    bheap_pop();
+    run_.erase(run_.begin(), run_.begin() + static_cast<std::ptrdiff_t>(run_pos_));
+    run_pos_ = 0;
 }
 
-// Both sifts move a "hole" through the tree and write the carried index once
-// at its final position — half the memory traffic of swap-based sifting.
-//
-// The tree is 4-ary: a wider node halves the number of levels a sift-down
-// touches and its four 16-byte children land in one cache line. The keys
-// (bucket timestamps) are unique among live buckets, so the comparator is a
-// strict total order and the pop sequence is fully determined — any heap
-// shape yields the same event order bit-for-bit.
-void event_loop::bheap_push(bheap_item item)
+void event_loop::far_push(const entry& e)
 {
-    std::size_t i = bheap_.size();
-    bheap_.push_back(item);  // grows the vector; the slot is overwritten below
-    while (i > 0) {
-        const std::size_t parent = (i - 1) / 4;
-        if (bheap_[parent].when <= item.when) break;
-        bheap_[i] = bheap_[parent];
-        i = parent;
-    }
-    bheap_[i] = item;
+    far_.push_back({e, far_seq_++});
+    std::push_heap(far_.begin(), far_.end(), later{});
 }
 
-void event_loop::bheap_pop()
+bool event_loop::advance()
 {
-    const bheap_item item = bheap_.back();
-    bheap_.pop_back();
-    const std::size_t n = bheap_.size();
-    if (n == 0) return;
-    std::size_t i = 0;
-    while (true) {
-        const std::size_t first = 4 * i + 1;
-        if (first >= n) break;
-        const std::size_t last = first + 4 < n ? first + 4 : n;
-        std::size_t best = first;
-        for (std::size_t c = first + 1; c < last; ++c)
-            if (bheap_[c].when < bheap_[best].when) best = c;
-        if (bheap_[best].when >= item.when) break;
-        bheap_[i] = bheap_[best];
-        i = best;
+    const std::uint64_t b = next_bucket();
+    if (b == k_none) return false;
+    enter(b);
+    return true;
+}
+
+std::uint64_t event_loop::next_bucket() const
+{
+    // Circular scan of the occupancy bitmap from the slot after the cursor;
+    // the cursor's own slot is always clear (its entries are in the run).
+    const std::uint64_t start = (cur_ + 1) & (k_buckets - 1);
+    for (std::uint64_t k = 0; k <= k_words; ++k) {
+        const std::uint64_t w = (start / 64 + k) % k_words;
+        std::uint64_t bits = occupied_[w];
+        if (k == 0) bits &= ~std::uint64_t{0} << (start % 64);
+        if (bits != 0) {
+            const std::uint64_t i = w * 64 + static_cast<std::uint64_t>(std::countr_zero(bits));
+            return cur_ + 1 + ((i - start) & (k_buckets - 1));
+        }
     }
-    bheap_[i] = item;
+    return far_.empty() ? k_none : bucket_of(far_.front().e.when);
+}
+
+void event_loop::enter(std::uint64_t b)
+{
+    run_.clear();
+    run_pos_ = 0;
+    cur_ = b;
+    // The horizon moved: pull in every far event it now covers, in (when,
+    // seq) order, before anything else can be pushed into those buckets.
+    // That keeps each bucket list in schedule order for equal times.
+    while (!far_.empty() && bucket_of(far_.front().e.when) - cur_ < k_buckets) {
+        std::pop_heap(far_.begin(), far_.end(), later{});
+        const entry e = far_.back().e;
+        far_.pop_back();
+        wheel_append(bucket_of(e.when), e);
+    }
+
+    const std::uint64_t i = b & (k_buckets - 1);
+    std::uint64_t& word = occupied_[i / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+    if (!(word & bit)) return;
+    word &= ~bit;
+    for (std::uint32_t n = head_[i]; n != k_npos; n = nodes_[n].next) run_.push_back(nodes_[n].e);
+    nodes_[tail_[i]].next = free_node_;  // the whole list joins the free pool
+    free_node_ = head_[i];
+
+    // Stable insertion sort by time: equal times keep list (= schedule)
+    // order, and nothing is allocated. Its cost is one move per inverted
+    // pair, and bucket lists arrive nearly sorted (interleaved per-flow and
+    // per-UE streams): 3-8 moves per entry on every perfbench workload,
+    // including multicell_dense buckets of several hundred entries.
+    for (std::size_t k = 1; k < run_.size(); ++k) {
+        const entry e = run_[k];
+        std::size_t j = k;
+        for (; j > 0 && run_[j - 1].when > e.when; --j) run_[j] = run_[j - 1];
+        run_[j] = e;
+    }
 }
 
 }  // namespace l4span::sim

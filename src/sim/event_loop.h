@@ -1,31 +1,35 @@
 // Deterministic discrete-event loop.
 //
-// Events scheduled at equal times fire in scheduling order (a monotone
-// sequence number breaks ties), so runs are reproducible bit-for-bit for a
-// given seed set.
+// Events scheduled at equal times fire in scheduling order, so runs are
+// reproducible bit-for-bit for a given seed set.
 //
-// The hot path is allocation-free: pending events live in a slab of pooled
-// records recycled through a free list, the ready queue is a bucket
-// calendar — a small 4-ary min-heap over the *distinct* pending timestamps,
-// each bucket a FIFO ring of events — and handlers are stored in a small-
-// buffer-optimized `callback` whose inline buffer is sized so the
+// The hot path is allocation-free in steady state: pending events live in a
+// slab of pooled records recycled through a free list, the ready queue is a
+// single-level timing wheel over pooled list nodes, and handlers are stored
+// in a small-buffer-optimized `callback` whose inline buffer is sized so the
 // simulator's largest common capture (a `this` pointer plus a `net::packet`
 // by value) never touches the heap. Steady-state memory is bounded by the
 // *peak pending* event count, not by the total number of events ever
 // scheduled.
 //
-// Why a bucket calendar: the RAN schedules in slots, so pending timestamps
-// cluster hard — a busy 64-UE cell holds ~50 events per distinct tick
-// (HARQ conclusions and MAC ticks all land on slot boundaries). Pushes and
-// pops onto an existing bucket are O(1) ring operations; the heap is only
-// touched when a timestamp appears or drains, amortizing the sift cost
-// over every event sharing that tick.
+// The wheel has 1024 buckets of 2^19 ns (~524 us), ~0.54 s of horizon,
+// sized from measured push traffic (docs/ARCHITECTURE.md has the numbers):
+// pending timestamps barely cluster (1.2-5.3 events per distinct
+// timestamp), 77-90% of pushes land within 10 ms, and the 200 ms minimum
+// RTO / PTO re-arms — 6-7% of all pushes, nearly all cancelled before they
+// are due — fall inside the horizon. So a push is an O(1) list append and a
+// dead timer costs one list node until its bucket comes up. The few events
+// beyond the horizon wait in a small (when, seq) heap and move into the
+// wheel as soon as their bucket enters it. When the cursor reaches a
+// bucket, its entries are sorted by time into the "active run" the loop
+// fires from.
 //
 // Thread-safety contract: an event_loop is single-threaded by design — one
 // loop per thread, no internal locking. Parallel experiments give every
 // scenario its own loop (see scenario::grid_runner).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <new>
@@ -33,8 +37,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/flat_table.h"
-#include "core/ring.h"
 #include "sim/time.h"
 
 namespace l4span::sim {
@@ -203,31 +205,20 @@ public:
         const auto s = static_cast<std::uint32_t>(id & 0xffffffffu);
         const auto gen = static_cast<std::uint32_t>(id >> 32);
         if (gen == 0 || s >= slab_.size() || slab_[s].gen != gen) return;
-        release_slot(s);  // the stale heap item is skipped on pop (gen mismatch)
+        release_slot(s);  // the stale queue entry is skipped on pop (gen mismatch)
         --live_;
     }
 
     // Runs a single event; returns false when the queue is empty.
     bool run_one()
     {
-        while (!bheap_.empty()) {
-            bucket& b = buckets_[bheap_[0].bi];
-            const tick when = b.when;
-            const entry e = b.q.front();
-            b.q.pop_front();
-            if (b.q.empty()) retire_top_bucket();  // b is dead past this line
+        for (;;) {
+            if (run_pos_ == run_.size() && !advance()) return false;
+            const entry e = run_[run_pos_++];
             if (slab_[e.slot].gen != e.gen) continue;  // cancelled
-            now_ = when;
-            callback fn = std::move(slab_[e.slot].fn);
-            // Free the slot before invoking: a handler that reschedules (the
-            // per-slot MAC tick, RTO rearm, ...) reuses its own record.
-            release_slot(e.slot);
-            --live_;
-            ++processed_;
-            fn();
+            fire(e);
             return true;
         }
-        return false;
     }
 
     // Runs all events with time <= `until`; afterwards now() == until.
@@ -247,38 +238,46 @@ public:
 
 private:
     static constexpr std::uint32_t k_npos = 0xffffffffu;
+    static constexpr std::uint64_t k_none = ~std::uint64_t{0};
 
-    // One pooled record per pending event. `when` lives in the bucket
-    // (hot during sifts); the slot only holds what fire/cancel need.
+    // Wheel geometry (see the file comment for why these values).
+    static constexpr int k_bucket_shift = 19;  // 2^19 ns ≈ 524 us per bucket
+    static constexpr std::uint64_t k_buckets = 1024;  // ≈ 0.54 s of horizon
+    static constexpr std::uint64_t k_words = k_buckets / 64;
+
+    // One pooled record per pending event; the queue entry carries `when`.
     struct slot {
         callback fn;
         std::uint32_t gen = 1;  // parity with the id; never 0, so id 0 is invalid
         std::uint32_t next_free = k_npos;
     };
-    // A queued event: 8 bytes, POD, lives in its timestamp's FIFO ring.
+    // A queued event. A cancelled one stays queued and is skipped when its
+    // generation no longer matches the slot's.
     struct entry {
+        tick when;
         std::uint32_t slot;
         std::uint32_t gen;
     };
-    // All pending events sharing one timestamp. Ordering within a bucket is
-    // insertion order, and events are only ever appended — which *is* the
-    // old (when, seq) strict total order: the sequence counter was globally
-    // monotone, so arrival order at any given bucket equals seq order. The
-    // FIFO encodes the tie-break structurally and the counter is gone.
-    struct bucket {
-        tick when = 0;
-        core::ring<entry> q;
+    // Wheel-list node: a bucket is a FIFO singly linked list through the
+    // node pool, so list order is arrival order.
+    struct node {
+        entry e;
+        std::uint32_t next;
     };
-    // Heap node: the key is copied in so sift comparisons walk only the
-    // contiguous heap array and never chase buckets_.
-    struct bheap_item {
-        tick when;
-        std::uint32_t bi;
+    // Beyond the horizon: ordered by (when, seq), seq counting far pushes.
+    struct far_entry {
+        entry e;
+        std::uint64_t seq;
     };
 
     static event_id make_id(std::uint32_t s, std::uint32_t gen)
     {
         return (static_cast<event_id>(gen) << 32) | s;
+    }
+
+    static std::uint64_t bucket_of(tick when)
+    {
+        return static_cast<std::uint64_t>(when) >> k_bucket_shift;
     }
 
     // Grabs a free pooled record (or grows the slab).
@@ -294,8 +293,8 @@ private:
         return s;
     }
 
-    // Reclaims a slot: drop the handler, invalidate outstanding ids/heap
-    // items by bumping the generation, and chain onto the free list.
+    // Reclaims a slot: drop the handler, invalidate outstanding ids and
+    // queue entries by bumping the generation, and chain onto the free list.
     void release_slot(std::uint32_t s)
     {
         slot& e = slab_[s];
@@ -305,30 +304,77 @@ private:
         free_head_ = s;
     }
 
-    // Enqueues (slot, gen) at `when`. Fast path: the target bucket already
-    // exists (almost always the one the previous push hit — the RAN emits
-    // bursts of same-slot events), so the common cost is one ring append.
-    void queue_push(tick when, std::uint32_t s, std::uint32_t gen)
+    // Runs a live entry already taken off the queue.
+    void fire(const entry& e)
     {
-        if (cached_bucket_ != k_npos && buckets_[cached_bucket_].when == when) {
-            buckets_[cached_bucket_].q.push_back({s, gen});
-            return;
-        }
-        if (const std::uint32_t* bi = when_map_.find(when)) {
-            cached_bucket_ = *bi;
-            buckets_[*bi].q.push_back({s, gen});
-            return;
-        }
-        push_new_bucket(when, s, gen);
+        now_ = e.when;
+        callback fn = std::move(slab_[e.slot].fn);
+        // Free the slot before invoking: a handler that reschedules (the
+        // per-slot MAC tick, RTO rearm, ...) reuses its own record.
+        release_slot(e.slot);
+        --live_;
+        ++processed_;
+        fn();
     }
 
-    void push_new_bucket(tick when, std::uint32_t s, std::uint32_t gen);
-    // Removes the (drained) earliest bucket from the heap and the when map
-    // and recycles it. Invalidates the push cache if it pointed here — a
-    // cache hit on a retired bucket would strand events in a dead ring.
-    void retire_top_bucket();
-    void bheap_push(bheap_item item);
-    void bheap_pop();
+    // Queues (when, slot, gen). Everything in the active run precedes every
+    // wheel bucket, which precedes every far entry; a push goes wherever
+    // its bucket number puts it.
+    void queue_push(tick when, std::uint32_t s, std::uint32_t gen)
+    {
+        const entry e{when, s, gen};
+        const std::uint64_t b = bucket_of(when);
+        if (b <= cur_) {
+            // The cursor's bucket, or one before it when the queue ran dry
+            // through buckets of cancelled events: keep the active run
+            // sorted. Appending is the common case; once the consumed
+            // prefix is most of the run (a long chain of events within one
+            // bucket), drop it so the run stays short.
+            if (run_.size() == run_pos_ || run_.back().when <= when) {
+                if (run_pos_ >= 256 && 2 * run_pos_ >= run_.size()) compact_run();
+                run_.push_back(e);
+            } else {
+                run_insert(e);
+            }
+        } else if (b - cur_ < k_buckets) {
+            wheel_append(b, e);
+        } else {
+            far_push(e);
+        }
+    }
+
+    void wheel_append(std::uint64_t b, const entry& e)
+    {
+        std::uint32_t n = free_node_;
+        if (n != k_npos) {
+            free_node_ = nodes_[n].next;
+            nodes_[n] = {e, k_npos};
+        } else {
+            n = static_cast<std::uint32_t>(nodes_.size());
+            nodes_.push_back({e, k_npos});
+        }
+        const std::size_t i = b & (k_buckets - 1);
+        std::uint64_t& word = occupied_[i / 64];
+        const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+        if (word & bit) {
+            nodes_[tail_[i]].next = n;
+        } else {
+            word |= bit;
+            head_[i] = n;
+        }
+        tail_[i] = n;
+    }
+
+    // Sorted insert behind every entry with an equal or earlier time.
+    void run_insert(const entry& e);
+    void compact_run();
+    void far_push(const entry& e);
+    // Moves the cursor to the next non-empty bucket and loads it into the
+    // active run; false when nothing is pending.
+    bool advance();
+    // Bucket number the cursor would move to next, or k_none.
+    std::uint64_t next_bucket() const;
+    void enter(std::uint64_t b);
 
     tick now_ = 0;
     std::size_t live_ = 0;
@@ -336,14 +382,23 @@ private:
     std::vector<slot> slab_;
     std::uint32_t free_head_ = k_npos;
 
-    // Ready queue: bheap_ is a 4-ary min-heap keyed on the bucket
-    // timestamp; live buckets have unique timestamps (the map guarantees
-    // it), so `when` alone is a strict order and no tie-break is needed.
-    std::vector<bucket> buckets_;
-    std::vector<bheap_item> bheap_;
-    std::vector<std::uint32_t> bucket_free_;
-    core::flat_table<tick, std::uint32_t, core::u64_mix_hash> when_map_;
-    std::uint32_t cached_bucket_ = k_npos;
+    // Active run: the cursor's bucket, sorted by (when, schedule order);
+    // entries before run_pos_ have been consumed.
+    std::vector<entry> run_;
+    std::size_t run_pos_ = 0;
+    std::uint64_t cur_ = 0;  // absolute bucket number of the active run
+
+    // Wheel: buckets cur_+1 .. cur_+k_buckets-1, slot = bucket mod k_buckets.
+    // head_/tail_ are meaningful only where the occupancy bit is set.
+    std::vector<node> nodes_;
+    std::uint32_t free_node_ = k_npos;
+    std::array<std::uint32_t, k_buckets> head_{};
+    std::array<std::uint32_t, k_buckets> tail_{};
+    std::array<std::uint64_t, k_words> occupied_{};
+
+    // Far future: a binary min-heap on (when, seq).
+    std::vector<far_entry> far_;
+    std::uint64_t far_seq_ = 0;
 };
 
 }  // namespace l4span::sim

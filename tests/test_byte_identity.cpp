@@ -1,7 +1,7 @@
 // Byte-identity regression harness for the hot-path memory-layout work.
 //
 // Every layout optimization (packet arena, SN rings, flat tables, SoA
-// profile table, bucket-calendar event queue) argues it cannot change
+// profile table, timing-wheel event queue) argues it cannot change
 // simulation output; this suite pins that argument down executably. A
 // fig09-style congested-cell grid is rendered to its full formatted table
 // serially and through the thread pool, and the two strings must match
@@ -11,9 +11,10 @@
 // test_fault_chaos.chaos_run_is_byte_identical_for_any_worker_count.)
 //
 // The golden_digest suite goes one step further: it pins FNV-1a digests of
-// the simulated outputs of four paths through the DL slot loop (a 2-cell
-// handover topology, a proportional-fair cell, a trace-replay cell with
-// binding PRB caps, and the fig09 grid above). A hot-path rework that
+// the simulated outputs of five paths through the DL slot loop and the
+// event queue (a 2-cell handover topology, a proportional-fair cell, a
+// trace-replay cell with binding PRB caps, a mixed-transport cell whose
+// pushes are dominated by RTO/PTO re-arms, and the fig09 grid above). A hot-path rework that
 // claims bit-identical output must reproduce these constants unchanged;
 // only a deliberate model change may re-pin them.
 #include <gtest/gtest.h>
