@@ -110,11 +110,10 @@ void event_loop::enter(std::uint64_t b)
         wheel_append(bucket_of(e.when), e);
     }
 
+    // b is occupied: next_bucket() found its bit, or it holds the far
+    // event that was just migrated.
     const std::uint64_t i = b & (k_buckets - 1);
-    std::uint64_t& word = occupied_[i / 64];
-    const std::uint64_t bit = std::uint64_t{1} << (i % 64);
-    if (!(word & bit)) return;
-    word &= ~bit;
+    occupied_[i / 64] &= ~(std::uint64_t{1} << (i % 64));
     for (std::uint32_t n = head_[i]; n != k_npos; n = nodes_[n].next) run_.push_back(nodes_[n].e);
     nodes_[tail_[i]].next = free_node_;  // the whole list joins the free pool
     free_node_ = head_[i];
