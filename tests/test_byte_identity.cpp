@@ -11,12 +11,17 @@
 // test_fault_chaos.chaos_run_is_byte_identical_for_any_worker_count.)
 //
 // The golden_digest suite goes one step further: it pins FNV-1a digests of
-// the simulated outputs of five paths through the DL slot loop and the
-// event queue (a 2-cell handover topology, a proportional-fair cell, a
-// trace-replay cell with binding PRB caps, a mixed-transport cell whose
-// pushes are dominated by RTO/PTO re-arms, and the fig09 grid above). A hot-path rework that
-// claims bit-identical output must reproduce these constants unchanged;
-// only a deliberate model change may re-pin them.
+// the simulated outputs of seven paths through the DL slot loop, the event
+// queue and the random draws (a 2-cell handover topology, a
+// proportional-fair cell, a trace-replay cell with binding PRB caps, a
+// mixed-transport cell whose pushes are dominated by RTO/PTO re-arms, the
+// fig09 grid above, the --quick ecn_impairment slice and the committed
+// fault_chaos_quick scenario). A hot-path rework that claims bit-identical
+// output must reproduce these constants unchanged; only a deliberate model
+// change may re-pin them. The ecn_impairment digest includes the
+// strip+drop rows, so it pins their current, known-stale output (ROADMAP
+// P0: they diverged from the committed BENCH_ecn_impairment.json when the
+// hot-path memory layout changed); the P0 fix will re-pin it on purpose.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -28,7 +33,10 @@
 #include "chan/trace_channel.h"
 #include "scenario/cell_scenario.h"
 #include "scenario/grid_runner.h"
+#include "scenario/scenario_run.h"
+#include "scenario/scenario_spec.h"
 #include "scenario/topology.h"
+#include "stats/json.h"
 #include "stats/sample_set.h"
 #include "stats/table.h"
 #include "topo/mobility_model.h"
@@ -311,6 +319,40 @@ std::uint64_t fig09_grid_digest()
     return d.h;
 }
 
+// A scenario run through the scenario engine at jobs 1: its stdout tables
+// and its JSON summary.
+std::uint64_t scenario_digest(const scenario::scenario_spec& spec)
+{
+    scenario::bench_args args;
+    args.jobs = 1;
+    args.quick = spec.quick;
+    stats::json summary;
+    testing::internal::CaptureStdout();
+    const int rc = scenario::run_scenario(spec, args, &summary);
+    const std::string out = testing::internal::GetCapturedStdout();
+    EXPECT_EQ(rc, 0);
+    EXPECT_FALSE(out.empty());
+    digest d;
+    d.add(out);
+    d.add(summary.dump());
+    return d.h;
+}
+
+// Six points behind a DualPI2 bottleneck, strip+drop with Poisson cross
+// traffic among them: the AQM's bernoulli, the impairment stages' draws
+// and the exponential cross-traffic gaps.
+std::uint64_t ecn_impairment_quick_digest()
+{
+    return scenario_digest(scenario::builtin_scenario("ecn_impairment", /*quick=*/true));
+}
+
+// Exponential fault schedules and mobility draws over three cells.
+std::uint64_t fault_chaos_quick_digest()
+{
+    return scenario_digest(scenario::load_scenario_file(
+        std::string(L4SPAN_SOURCE_ROOT) + "/examples/scenarios/fault_chaos_quick.json"));
+}
+
 // Pinned on the simulator before the DL slot-path rework; see the file
 // comment for when these may change.
 constexpr std::uint64_t k_handover_topology = 0x0828dc3897a7d5d1ull;
@@ -319,6 +361,9 @@ constexpr std::uint64_t k_trace_replay = 0xc12cf5796b99660bull;
 constexpr std::uint64_t k_fig09_grid = 0xe4db28194ef17054ull;
 // Pinned on the simulator before the timing-wheel event queue.
 constexpr std::uint64_t k_mixed_transport = 0xb9751ad0c49546fcull;
+// Pinned on the simulator before the in-house MT19937-64 engine.
+constexpr std::uint64_t k_ecn_impairment_quick = 0xe86e3823a8e417dbull;
+constexpr std::uint64_t k_fault_chaos_quick = 0x79f143d973ce4ce2ull;
 
 TEST(golden_digest, handover_topology_jobs1)
 {
@@ -348,6 +393,16 @@ TEST(golden_digest, mixed_transport_cell)
 TEST(golden_digest, fig09_grid)
 {
     EXPECT_EQ(fig09_grid_digest(), k_fig09_grid);
+}
+
+TEST(golden_digest, ecn_impairment_quick)
+{
+    EXPECT_EQ(ecn_impairment_quick_digest(), k_ecn_impairment_quick);
+}
+
+TEST(golden_digest, fault_chaos_quick)
+{
+    EXPECT_EQ(fault_chaos_quick_digest(), k_fault_chaos_quick);
 }
 
 }  // namespace
