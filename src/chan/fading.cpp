@@ -48,24 +48,11 @@ double fading_channel::step(sim::tick t)
         memo_sigma_ = profile_.sigma_db * std::sqrt(1.0 - memo_rho_ * memo_rho_);
         memo_dt_ = dt_ticks;
     }
-    const double rho = memo_rho_;
-    const double noise_sigma = memo_sigma_;
-    // z * sigma + 0.0 is exactly what sim::rng::normal(0.0, sigma) returns
-    // for the standard normal z it draws, and like it a zero sigma (rho
-    // rounded to 1) draws nothing.
-    const double noise = noise_sigma <= 0.0 ? 0.0 : next_normal() * noise_sigma + 0.0;
-    snr_db_ = profile_.mean_snr_db + rho * (snr_db_ - profile_.mean_snr_db) + noise;
+    // A zero noise sigma (rho rounded to 1) returns 0.0 without a draw.
+    const double noise = rng_.normal(0.0, memo_sigma_);
+    snr_db_ = profile_.mean_snr_db + memo_rho_ * (snr_db_ - profile_.mean_snr_db) + noise;
     last_ = t;
     return snr_db_;
-}
-
-double fading_channel::next_normal()
-{
-    if (next_normal_ == k_normal_block) {
-        for (double& z : normals_) z = rng_.normal(0.0, 1.0);
-        next_normal_ = 0;
-    }
-    return normals_[next_normal_++];
 }
 
 }  // namespace l4span::chan

@@ -3,9 +3,6 @@
 // chan::link_model (the channel_profile knobs live in link_model.h).
 #pragma once
 
-#include <array>
-#include <cstddef>
-
 #include "chan/link_model.h"
 #include "sim/rng.h"
 #include "sim/time.h"
@@ -34,10 +31,9 @@ public:
 
 private:
     double step(sim::tick t);
-    double next_normal();
 
-    // Per-step state first, the engine's large state last, so a step
-    // touches few cache lines.
+    // Per-step state first, the engine's 2.5 KB state last, so a step
+    // touches few cache lines besides the engine word it draws.
     channel_profile profile_;
     double snr_db_;
     sim::tick last_ = 0;
@@ -46,12 +42,6 @@ private:
     sim::tick memo_dt_ = -1;
     double memo_rho_ = 0.0;
     double memo_sigma_ = 0.0;
-    // Standard normals drawn ahead from rng_, in blocks: the engine is
-    // private to this channel, so drawing a block early consumes exactly
-    // the values one draw per step would, in the same order.
-    static constexpr std::size_t k_normal_block = 32;
-    std::size_t next_normal_ = k_normal_block;
-    std::array<double, k_normal_block> normals_{};
     sim::rng rng_;
 };
 

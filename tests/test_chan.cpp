@@ -149,7 +149,8 @@ std::uint64_t bits_of(double v)
 }
 
 // The Gauss-Markov step with one sim::rng::normal draw per advance — the
-// fading model as specified, without drawing ahead.
+// fading model as specified, recomputing rho and the noise sigma each step
+// instead of memoizing them per dt.
 struct reference_fading {
     channel_profile p;
     sim::rng rng;
@@ -237,10 +238,10 @@ TEST(mcs, count_of_met_thresholds_equals_reference_scan)
     EXPECT_EQ(mcs_from_snr(-std::numeric_limits<double>::infinity()), -1);
 }
 
-TEST(fading, drawn_ahead_normals_match_one_draw_per_step)
+TEST(fading, memoized_step_matches_reference_model)
 {
-    // Every named profile, over 12k irregular steps each (the draw-ahead
-    // block refills many times, across dt changes that re-memoize rho).
+    // Every named profile, over 12k irregular steps each (dt changes
+    // re-memoize rho and the noise sigma many times).
     for (const auto& prof :
          {channel_profile::static_channel(), channel_profile::pedestrian(),
           channel_profile::vehicular(), channel_profile::mobile()})
@@ -254,8 +255,8 @@ TEST(fading, zero_sigma_and_unit_rho_draw_nothing)
     expect_fading_matches_reference(flat, 7, 2000);
 
     // A coherence so long that a 1 ns step rounds rho to exactly 1 (noise
-    // sigma 0, no draw) while longer steps still draw: the drawn-ahead
-    // normals must stay aligned with the reference across both kinds.
+    // sigma 0, no draw) while longer steps still draw: the draws must stay
+    // aligned with the reference across both kinds.
     channel_profile glacial{"glacial", 12.0, 3.0, sim::tick{4'000'000'000'000'000'000}};
     expect_fading_matches_reference(glacial, 8, 12000);
 }
