@@ -82,13 +82,13 @@ public:
     double normal(double mean, double stddev)
     {
         if (stddev <= 0.0) return mean;
-        double x, y, r2;
-        do {
-            x = 2.0 * canonical() - 1.0;
-            y = 2.0 * canonical() - 1.0;
-            r2 = x * x + y * y;
-        } while (r2 > 1.0 || r2 == 0.0);
-        return y * std::sqrt(-2.0 * std::log(r2) / r2) * stddev + mean;
+        for (;;) {
+            const double x = 2.0 * canonical() - 1.0;
+            const double y = 2.0 * canonical() - 1.0;
+            const double r2 = x * x + y * y;
+            if (r2 <= 1.0 && r2 != 0.0)
+                return y * std::sqrt(-2.0 * std::log(r2) / r2) * stddev + mean;
+        }
     }
 
     double exponential(double mean)
