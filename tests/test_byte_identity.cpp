@@ -11,12 +11,13 @@
 // test_fault_chaos.chaos_run_is_byte_identical_for_any_worker_count.)
 //
 // The golden_digest suite goes one step further: it pins FNV-1a digests of
-// the simulated outputs of seven paths through the DL slot loop, the event
+// the simulated outputs of nine paths through the DL slot loop, the event
 // queue and the random draws (a 2-cell handover topology, a
 // proportional-fair cell, a trace-replay cell with binding PRB caps, a
 // mixed-transport cell whose pushes are dominated by RTO/PTO re-arms, the
-// fig09 grid above, the --quick ecn_impairment slice and the committed
-// fault_chaos_quick scenario). A hot-path rework that claims bit-identical
+// fig09 grid above, the --quick ecn_impairment slice, the committed
+// fault_chaos_quick scenario, the --quick quic_interactive points and the
+// WRED example cell). A hot-path rework that claims bit-identical
 // output must reproduce these constants unchanged; only a deliberate model
 // change may re-pin them. The ecn_impairment digest includes the
 // strip+drop rows, so it pins their current, known-stale output (ROADMAP
@@ -319,6 +320,87 @@ std::uint64_t fig09_grid_digest()
     return d.h;
 }
 
+// The three --quick points of bench_quic_interactive, built directly on
+// scenario::topology: a 60 fps frame source on UE 0 of two mobile cells,
+// two bulk CUBIC background UEs and an out-and-back handover, once per
+// transport (QUIC Prague, TCP Prague, TCP CUBIC).
+std::uint64_t quic_interactive_quick_digest()
+{
+    const sim::tick duration = sim::from_ms(2500);
+    digest d;
+    for (const char* cca : {"quic-prague", "prague", "cubic"}) {
+        scenario::topology_spec spec;
+        spec.num_cells = 2;
+        spec.ues_per_cell = 3;
+        spec.cell.cu = scenario::cu_mode::l4span;
+        spec.cell.channel = "mobile";
+        spec.cell.seed = 61;
+        spec.jobs = 1;
+        scenario::topology topo(spec);
+        scenario::flow_spec game;
+        game.cca = cca;
+        game.fps = 60.0;
+        game.frame_bitrate_bps = 8e6;
+        game.keyframe_interval_s = 2.0;
+        game.keyframe_scale = 4.0;
+        game.frame_deadline_ms = 50.0;
+        std::vector<int> handles{topo.add_flow(game)};
+        for (int ue = 1; ue <= 2; ++ue) {
+            scenario::flow_spec f;
+            f.cca = "cubic";
+            f.ue = ue;
+            f.max_cwnd = 1536 * 1024;
+            handles.push_back(topo.add_flow(f));
+        }
+        topo.schedule_handover(duration / 3, 0, 1);
+        topo.schedule_handover(2 * duration / 3, 0, 0);
+        topo.run(duration);
+
+        const media::frame_source* fr = topo.frame_stats(handles[0]);
+        for (const double v : fr->frame_owd_ms().raw()) d.add(v);
+        d.add(fr->stall_fraction());
+        d.add(fr->frames_completed());
+        d.add(fr->frames_sent());
+        add_flows(d, topo, handles);
+        d.add(topo.handovers_completed());
+        d.add(topo.processed_events());
+    }
+    return d.h;
+}
+
+// The cell of examples/scenarios/wred_cell_flows.json, built directly on
+// cell_scenario for each of its seeds 7, 8 and 9: six static UEs under
+// L4Span with the file's WRED tables, three Prague and two CUBIC downloads.
+std::uint64_t wred_cell_digest()
+{
+    digest d;
+    for (const std::uint64_t seed : {7u, 8u, 9u}) {
+        scenario::cell_spec cell;
+        cell.num_ues = 6;
+        cell.channel = "static";
+        cell.cu = scenario::cu_mode::l4span;
+        cell.seed = seed;
+        cell.bottleneck_aqm = "wred";
+        cell.wred.l4s = {4 * 1514, 32 * 1514, 1.0};
+        cell.wred.classic = {16 * 1514, 128 * 1514, 0.08};
+        cell.wred.ecn_drop_bytes = 1 << 20;
+        cell.wred.l4s_weight = 8;
+        cell.wred.max_bytes = 1 << 24;
+        scenario::cell_scenario s(cell);
+        std::vector<int> handles;
+        for (int ue = 0; ue < 5; ++ue) {
+            scenario::flow_spec f;
+            f.cca = ue < 3 ? "prague" : "cubic";
+            f.ue = ue;
+            handles.push_back(s.add_flow(f));
+        }
+        s.run(sim::from_sec(3));
+        add_flows(d, s, handles);
+        d.add(static_cast<std::uint64_t>(s.sim_wallclock_events()));
+    }
+    return d.h;
+}
+
 // A scenario run through the scenario engine at jobs 1: its stdout tables
 // and its JSON summary.
 std::uint64_t scenario_digest(const scenario::scenario_spec& spec)
@@ -364,6 +446,9 @@ constexpr std::uint64_t k_mixed_transport = 0xb9751ad0c49546fcull;
 // Pinned on the simulator before the in-house MT19937-64 engine.
 constexpr std::uint64_t k_ecn_impairment_quick = 0xe86e3823a8e417dbull;
 constexpr std::uint64_t k_fault_chaos_quick = 0x79f143d973ce4ce2ull;
+// Pinned on the simulator before the single-cell families became one sweep.
+constexpr std::uint64_t k_quic_interactive_quick = 0xe3bdbe24ebe7ac93ull;
+constexpr std::uint64_t k_wred_cell = 0x0a9251de404683f4ull;
 
 TEST(golden_digest, handover_topology_jobs1)
 {
@@ -403,6 +488,16 @@ TEST(golden_digest, ecn_impairment_quick)
 TEST(golden_digest, fault_chaos_quick)
 {
     EXPECT_EQ(fault_chaos_quick_digest(), k_fault_chaos_quick);
+}
+
+TEST(golden_digest, quic_interactive_quick)
+{
+    EXPECT_EQ(quic_interactive_quick_digest(), k_quic_interactive_quick);
+}
+
+TEST(golden_digest, wred_cell)
+{
+    EXPECT_EQ(wred_cell_digest(), k_wred_cell);
 }
 
 }  // namespace
