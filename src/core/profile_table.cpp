@@ -6,17 +6,20 @@ void profile_table::grow()
 {
     const std::size_t old_cap = bytes_.size();
     const std::size_t cap = old_cap == 0 ? 64 : old_cap * 2;
+    std::vector<ran::pdcp_sn_t> sn(cap);
     std::vector<std::uint32_t> bytes(cap);
     std::vector<sim::tick> t_in(cap), t_tx(cap), t_dl(cap);
     std::vector<std::uint8_t> disc(cap);
     for (std::size_t i = 0; i < count_; ++i) {
         const std::size_t p = phys(i);
+        sn[i] = sn_[p];
         bytes[i] = bytes_[p];
         t_in[i] = t_ingress_[p];
         t_tx[i] = t_transmitted_[p];
         t_dl[i] = t_delivered_[p];
         disc[i] = discarded_[p];
     }
+    sn_ = std::move(sn);
     bytes_ = std::move(bytes);
     t_ingress_ = std::move(t_in);
     t_transmitted_ = std::move(t_tx);
@@ -34,6 +37,7 @@ void profile_table::on_ingress(ran::pdcp_sn_t sn, std::uint32_t bytes, sim::tick
     }
     if (count_ == bytes_.size()) grow();
     const std::size_t p = phys(count_);
+    sn_[p] = sn;
     bytes_[p] = bytes;
     t_ingress_[p] = now;
     t_transmitted_[p] = -1;
@@ -48,14 +52,13 @@ void profile_table::on_transmitted(ran::pdcp_sn_t highest_sn, sim::tick ts,
                                    const std::function<void(ran::pdcp_sn_t, std::uint32_t)>& txed)
 {
     if (!has_entries_) return;
-    while (tx_cursor_ < count_ &&
-           static_cast<ran::pdcp_sn_t>(first_sn_ + tx_cursor_) <= highest_sn) {
+    while (tx_cursor_ < count_ && sn_[phys(tx_cursor_)] <= highest_sn) {
         const std::size_t p = phys(tx_cursor_);
         if (!discarded_[p]) {
             t_transmitted_[p] = ts;
             standing_bytes_ -= bytes_[p];
             standing_packets_ -= 1;
-            if (txed) txed(static_cast<ran::pdcp_sn_t>(first_sn_ + tx_cursor_), bytes_[p]);
+            if (txed) txed(sn_[p], bytes_[p]);
         }
         ++tx_cursor_;
     }
@@ -64,8 +67,7 @@ void profile_table::on_transmitted(ran::pdcp_sn_t highest_sn, sim::tick ts,
 void profile_table::on_delivered(ran::pdcp_sn_t highest_sn, sim::tick ts)
 {
     if (!has_entries_) return;
-    while (dl_cursor_ < count_ &&
-           static_cast<ran::pdcp_sn_t>(first_sn_ + dl_cursor_) <= highest_sn) {
+    while (dl_cursor_ < count_ && sn_[phys(dl_cursor_)] <= highest_sn) {
         const std::size_t p = phys(dl_cursor_);
         if (t_delivered_[p] < 0 && !discarded_[p]) t_delivered_[p] = ts;
         ++dl_cursor_;

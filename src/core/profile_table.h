@@ -6,10 +6,12 @@
 // so transmit timestamps are applied to every not-yet-transmitted SN at or
 // below the watermark — exactly the granularity a real CU observes.
 //
-// Storage is a struct-of-arrays ring: SNs are contiguous (entry i lives at
-// logical index sn - first_sn_), so there is no per-SN key — each field
-// (bytes, ingress/transmit/delivery timestamps, discard flag) sits in its
-// own array and the watermark sweeps touch only the arrays they read.
+// Storage is a struct-of-arrays ring: each field (SN, bytes, ingress/
+// transmit/delivery timestamps, discard flag) sits in its own array and
+// the watermark sweeps touch only the arrays they read. The sweeps compare
+// each slot's own SN against the watermark: a packet the CU hook drops
+// after ingress leaves its SN to the next admitted packet, so two slots
+// can carry one SN and a slot's SN is not first_sn_ + its index.
 // Both watermarks advance through monotone cursors, so a feedback report
 // costs O(newly covered SNs), not O(table).
 #pragma once
@@ -69,8 +71,10 @@ private:
     std::size_t phys(std::size_t i) const { return (head_ + i) & mask_; }
     void grow();
 
-    // Parallel arrays, one slot per tracked SN; logical index i holds
-    // sn = first_sn_ + i at physical slot (head_ + i) & mask_.
+    // Parallel arrays, one slot per ingress; logical index i lives at
+    // physical slot (head_ + i) & mask_. on_discard and find still index
+    // positionally (sn - first_sn_).
+    std::vector<ran::pdcp_sn_t> sn_;
     std::vector<std::uint32_t> bytes_;
     std::vector<sim::tick> t_ingress_;
     std::vector<sim::tick> t_transmitted_;

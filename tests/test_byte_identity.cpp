@@ -19,10 +19,7 @@
 // fault_chaos_quick scenario, the --quick quic_interactive points and the
 // WRED example cell). A hot-path rework that claims bit-identical
 // output must reproduce these constants unchanged; only a deliberate model
-// change may re-pin them. The ecn_impairment digest includes the
-// strip+drop rows, so it pins their current, known-stale output (ROADMAP
-// P0: they diverged from the committed BENCH_ecn_impairment.json when the
-// hot-path memory layout changed); the P0 fix will re-pin it on purpose.
+// change may re-pin them.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -444,8 +441,11 @@ constexpr std::uint64_t k_fig09_grid = 0xe4db28194ef17054ull;
 // Pinned on the simulator before the timing-wheel event queue.
 constexpr std::uint64_t k_mixed_transport = 0xb9751ad0c49546fcull;
 // Pinned on the simulator before the in-house MT19937-64 engine.
-constexpr std::uint64_t k_ecn_impairment_quick = 0xe86e3823a8e417dbull;
 constexpr std::uint64_t k_fault_chaos_quick = 0x79f143d973ce4ce2ull;
+// Re-pinned when the profile table began storing each slot's own PDCP SN:
+// a hook-dropped packet's SN is reused by the next packet, and the
+// strip+drop rows no longer keep one stale standing entry per drop.
+constexpr std::uint64_t k_ecn_impairment_quick = 0xf2508d45907cac6bull;
 // Pinned on the simulator before the single-cell families became one sweep.
 constexpr std::uint64_t k_quic_interactive_quick = 0xe3bdbe24ebe7ac93ull;
 constexpr std::uint64_t k_wred_cell = 0x0a9251de404683f4ull;

@@ -214,6 +214,45 @@ TEST(l4span_entity, drop_mode_sheds_stripped_tcp_on_the_short_circuit_path)
     EXPECT_EQ(l2.drops(), 0u);
 }
 
+TEST(l4span_entity, drop_mode_standing_queue_stays_bounded)
+{
+    // Like the gNB, hand out a PDCP SN only to admitted packets: a dropped
+    // packet leaves its SN to the next one. The standing queue must stay
+    // exactly the packets above the transmit watermark, not keep one stale
+    // entry per drop.
+    l4span_config cfg;
+    cfg.seed = 3;
+    cfg.drop_non_ecn = true;
+    core::l4span l(cfg);
+    warm_up(l, 200, sim::from_us(500));  // SNs 1..201, 1..200 transmitted
+    const std::uint64_t bytes = udp_pkt(net::ecn::not_ect).size_bytes();
+    std::vector<ran::pdcp_sn_t> ingress_sns{201};
+    ran::pdcp_sn_t next_sn = 202;
+    ran::pdcp_sn_t served = 200;
+    int dropped = 0;
+    // Arrivals every 250 us against one transmitted SDU every 400 us.
+    for (int i = 0; i < 4000; ++i) {
+        const sim::tick now = sim::from_ms(100) + i * sim::from_us(50);
+        if (i % 5 == 0) {
+            auto p = udp_pkt(net::ecn::not_ect);
+            p.ft.dst_port = 7777;
+            ingress_sns.push_back(next_sn);
+            if (l.on_dl_packet(p, 1, 1, next_sn, now))
+                ++next_sn;
+            else
+                ++dropped;
+        }
+        if (i % 8 == 7 && served + 1 < next_sn) {
+            ++served;
+            l.on_delivery_status(status(served, now), now);
+            std::uint64_t above = 0;
+            for (const ran::pdcp_sn_t sn : ingress_sns) above += sn > served;
+            ASSERT_EQ(l.view(1, 1).standing_bytes, above * bytes) << "step " << i;
+        }
+    }
+    EXPECT_GT(dropped, 50);
+}
+
 TEST(l4span_entity, feedback_for_departed_ue_does_not_resurrect_state)
 {
     // Delivery status and discards are find-only: late F1-U feedback for a

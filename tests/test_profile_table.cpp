@@ -117,3 +117,23 @@ TEST(profile_table, prune_then_continue_operating)
     t.on_transmitted(6, sim::from_sec(2) + 1, [&](ran::pdcp_sn_t, std::uint32_t) { ++txed; });
     EXPECT_EQ(txed, 1);
 }
+
+TEST(profile_table, reused_sn_of_a_dropped_packet_leaves_the_standing_queue)
+{
+    // The gNB consumes a PDCP SN only for an admitted packet, so a packet
+    // the CU hook drops after ingress leaves its SN to the next one: two
+    // slots carry SN 5. A watermark past 5 must cover both.
+    profile_table t;
+    t.on_ingress(5, 1000, 0);              // dropped by the hook
+    t.on_ingress(5, 800, sim::from_ms(1));  // the next packet reuses SN 5
+    t.on_ingress(6, 500, sim::from_ms(2));
+    std::vector<ran::pdcp_sn_t> txed;
+    const auto record = [&](ran::pdcp_sn_t sn, std::uint32_t) { txed.push_back(sn); };
+    t.on_transmitted(5, sim::from_ms(3), record);
+    EXPECT_EQ(t.standing_bytes(), 500u);
+    EXPECT_EQ(t.standing_packets(), 1u);
+    t.on_transmitted(7, sim::from_ms(4), record);
+    EXPECT_EQ(t.standing_bytes(), 0u);
+    EXPECT_EQ(t.standing_packets(), 0u);
+    EXPECT_EQ(txed, (std::vector<ran::pdcp_sn_t>{5, 5, 6}));
+}
