@@ -20,7 +20,9 @@ exit. --strict-pinned (the CI default) only fails on drift of *pinned*
 anchors — those without a "known_drift_pct" entry, i.e. numbers the
 reproduction has already converged on and must not regress — while
 tracked-divergence anchors keep warn-only semantics until their gap is
-closed.
+closed. A missing BENCH file or a --quick slice skips its anchors; a full
+file that lacks an anchor's point or metric counts as MISSING and fails
+under the same tiers as drift.
 
 Usage: scripts/check_fidelity.py [--strict] [--strict-pinned]
                                  [--tolerance PCT] [--selftest] [repo_root]
@@ -254,6 +256,23 @@ ANCHORS = [
     },
 ]
 
+# Robustness anchors with no paper number: the goodput each transport keeps
+# when the wired path strips ECN and L4Span falls back to dropping
+# (strip+drop, no cross traffic). A stale standing queue once collapsed
+# these rows to 1-4 Mbit/s while every paper anchor still passed.
+for _cca, _value in (("tcp-prague", 26.26), ("quic-prague", 27.25),
+                     ("tcp-cubic", 16.63), ("tcp-bbr2", 27.15)):
+    ANCHORS.append({
+        "figure": "ecn_impairment",
+        "file": "BENCH_ecn_impairment.json",
+        "select": {"cca": _cca, "impairment": "strip+drop",
+                   "cross_traffic": False},
+        "metric": ["goodput_mbps"],
+        "paper": _value,
+        "note": f"ECN strip+drop goodput, {_cca}, no cross traffic "
+                "(pinned to committed value, no paper number)",
+    })
+
 
 def select_point(points, want):
     for p in points:
@@ -285,17 +304,20 @@ def classify(value, anchor, tolerance):
 
 def check_anchor(anchor, data, tolerance):
     """Checks one anchor against a parsed BENCH document. Returns
-    (status, message); status in {'skip', 'ok', 'known', 'DRIFT'}."""
+    (status, message); status in {'skip', 'ok', 'known', 'DRIFT',
+    'MISSING'}. A --quick slice is skipped; a full document that lacks the
+    selected point or metric is MISSING, which fails like DRIFT, so a
+    renamed key cannot turn an anchor into a silent pass."""
     if data.get("quick"):
         return "skip", f"{anchor['file']} is a --quick slice"
     # Grid benches emit "points"; table-shaped ones (Tab. 1) emit "rows".
     list_key = anchor.get("list_key", "points")
     point = select_point(data.get(list_key, []), anchor["select"])
     if point is None:
-        return "skip", "no matching grid point"
+        return "MISSING", f"no grid point matches {anchor['select']}"
     value = dig(point, anchor["metric"])
     if value is None:
-        return "skip", f"metric {anchor['metric']} missing"
+        return "MISSING", f"metric {anchor['metric']} missing"
     status, drift = classify(value, anchor, tolerance)
     msg = (f"repo {value:.1f} vs paper {anchor['paper']:.1f} "
            f"({drift:.1f}% drift, tolerance {tolerance:.0f}%)")
@@ -307,9 +329,11 @@ def check_anchor(anchor, data, tolerance):
 def exit_code(results, strict, strict_pinned):
     """Exit policy over per-anchor outcomes. `results` is a list of
     (status, pinned) pairs, pinned = the anchor has no known_drift_pct.
-    --strict fails on any DRIFT; --strict-pinned only on pinned DRIFT."""
-    any_drift = any(s == "DRIFT" for s, _ in results)
-    pinned_drift = any(s == "DRIFT" and pinned for s, pinned in results)
+    --strict fails on any DRIFT or MISSING; --strict-pinned only on pinned
+    ones."""
+    failing = ("DRIFT", "MISSING")
+    any_drift = any(s in failing for s, _ in results)
+    pinned_drift = any(s in failing and pinned for s, pinned in results)
     if strict and any_drift:
         return 1
     if strict_pinned and pinned_drift:
@@ -335,14 +359,14 @@ def selftest():
         (mk({"cca": "y"}, 100.0), doc, "DRIFT"),    # 20% > 10%
         (mk({"cca": "y"}, 100.0, known_drift_pct=13.0), doc, "known"),
         (mk({"cca": "y"}, 100.0, known_drift_pct=5.0), doc, "DRIFT"),
-        (mk({"cca": "z"}, 1.0), doc, "skip"),       # no matching point
+        (mk({"cca": "z"}, 1.0), doc, "MISSING"),    # no matching point
         (mk({"cca": "x"}, 1.0), {"quick": True, "points": []}, "skip"),
         ({"figure": "t", "file": "t.json", "select": {"cca": "x"},
-          "metric": ["missing"], "paper": 1.0, "note": "t"}, doc, "skip"),
+          "metric": ["missing"], "paper": 1.0, "note": "t"}, doc, "MISSING"),
         # "rows"-shaped documents resolve through list_key.
         (mk({"cca": "x"}, 100.0, list_key="rows"),
          {"quick": False, "rows": doc["points"]}, "ok"),
-        (mk({"cca": "x"}, 100.0, list_key="rows"), doc, "skip"),
+        (mk({"cca": "x"}, 100.0, list_key="rows"), doc, "MISSING"),
     ]
     failed = 0
     for i, (anchor, d, want) in enumerate(cases):
@@ -365,6 +389,13 @@ def selftest():
         ([("DRIFT", True)], True, False, 1),
         ([("DRIFT", True)], False, False, 0),
         ([], True, True, 0),
+        # A full document without the anchor's point or metric fails
+        # closed under either strict tier, like drift.
+        ([("ok", True), ("MISSING", True)], False, True, 1),
+        ([("MISSING", True)], True, False, 1),
+        ([("MISSING", True)], False, False, 0),
+        ([("MISSING", False)], False, True, 0),
+        ([("MISSING", False)], True, False, 1),
     ]
     for i, (results, strict, pinned, want) in enumerate(policy_cases):
         got = exit_code(results, strict, pinned)
@@ -420,8 +451,9 @@ def main():
 
     drifted = sum(1 for s, _ in results if s == "DRIFT")
     pinned_drifted = sum(1 for s, p in results if s == "DRIFT" and p)
+    missing = sum(1 for s, _ in results if s == "MISSING")
     print(f"checked {len(results)} anchors, {drifted} drifted "
-          f"({pinned_drifted} pinned)")
+          f"({pinned_drifted} pinned), {missing} missing")
     return exit_code(results, args.strict, args.strict_pinned)
 
 
