@@ -3,10 +3,7 @@
 // flow's share: r_l4s/(r_l4s+r_classic) and RTT_l4s/(RTT_l4s+RTT_classic);
 // 50% on both axes is the fair outcome.
 //
-// The grid lives in the scenario engine as the "fig16" builtin (family
-// shared_drb); the four strategies are independent cells fanned out over
-// scenario::grid_runner, byte-identical for any worker count.
-// --export-scenario PATH dumps the (possibly --quick) grid as JSON.
+// A wrapper over the "fig16" builtin sweep, like bench_fig09_tcp_grid.cpp.
 #include "scenario/grid_runner.h"
 #include "scenario/scenario_run.h"
 

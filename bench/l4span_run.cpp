@@ -1,7 +1,7 @@
 // l4span_run — the generic scenario driver: loads a JSON scenario file
 // (schema "l4span-scenario-v1", see docs/SCENARIOS.md), fans its grid out
 // through scenario::grid_runner and prints the same banner/table/JSON
-// output as the bench binary the family grew out of. Running a bench's
+// output as the bench binary that compiles the same scenario in. Running a bench's
 // --export-scenario dump through this driver reproduces the bench's stdout
 // and JSON summary byte-for-byte, for any --jobs value (pinned by
 // tests/test_scenario_spec.cpp and the CI perf-smoke slice).

@@ -6,12 +6,10 @@
 // so transmit timestamps are applied to every not-yet-transmitted SN at or
 // below the watermark — exactly the granularity a real CU observes.
 //
-// Storage is a struct-of-arrays ring: each field (SN, bytes, ingress/
-// transmit/delivery timestamps, discard flag) sits in its own array and
-// the watermark sweeps touch only the arrays they read. The sweeps compare
-// each slot's own SN against the watermark: a packet the CU hook drops
-// after ingress leaves its SN to the next admitted packet, so two slots
-// can carry one SN and a slot's SN is not first_sn_ + its index.
+// Storage is a struct-of-arrays ring: each field (SN, bytes, timestamps,
+// discard flag) sits in its own array and the watermark sweeps touch only
+// the arrays they read. A packet the CU hook drops after ingress leaves
+// its SN to the next one, so two slots can carry one SN.
 // Both watermarks advance through monotone cursors, so a feedback report
 // costs O(newly covered SNs), not O(table).
 #pragma once
@@ -72,8 +70,7 @@ private:
     void grow();
 
     // Parallel arrays, one slot per ingress; logical index i lives at
-    // physical slot (head_ + i) & mask_. on_discard and find still index
-    // positionally (sn - first_sn_).
+    // physical slot (head_ + i) & mask_.
     std::vector<ran::pdcp_sn_t> sn_;
     std::vector<std::uint32_t> bytes_;
     std::vector<sim::tick> t_ingress_;

@@ -8,63 +8,12 @@
 #include <cstdio>
 #include <string>
 
-#include "scenario/cell_scenario.h"
 #include "scenario/grid_runner.h"
 #include "stats/json.h"
 #include "stats/sample_set.h"
 #include "stats/table.h"
 
 namespace l4span::benchutil {
-
-// One congested-cell grid point of the Fig. 9 / Fig. 24 methodology: `ues`
-// long-lived downloads of one CCA, pooled OWD samples + per-UE goodput.
-struct tcp_grid_result {
-    stats::sample_set owd_ms;      // pooled over all UEs
-    stats::sample_set tput_mbps;   // one sample per UE
-};
-
-inline tcp_grid_result run_tcp_grid_cell(const std::string& cca, int ues,
-                                         std::size_t queue, double wired_owd_ms,
-                                         const std::string& chan, bool l4span_on,
-                                         std::uint64_t seed_base, sim::tick duration,
-                                         bool impair_noop = false,
-                                         const std::string& obs_out = "")
-{
-    scenario::cell_spec cell;
-    cell.num_ues = ues;
-    cell.channel = chan;
-    cell.rlc_queue_sdus = queue;
-    cell.cu = l4span_on ? scenario::cu_mode::l4span : scenario::cu_mode::none;
-    cell.seed = seed_base + static_cast<std::uint64_t>(ues) + queue;
-    // Pass-through fast-path check: mount all-off impairment stages on both
-    // directions; results must be byte-identical to running without them.
-    cell.impair_dl.force_stage = impair_noop;
-    cell.impair_ul.force_stage = impair_noop;
-    // Telemetry hub: the measured results must not change, only the JSONL
-    // artifacts appear (CI diffs a traced run against an untraced one).
-    if (!obs_out.empty()) {
-        cell.obs.enabled = true;
-        cell.obs.out_prefix = obs_out;
-    }
-    scenario::cell_scenario s(cell);
-    std::vector<int> handles;
-    for (int u = 0; u < ues; ++u) {
-        scenario::flow_spec f;
-        f.cca = cca;
-        f.ue = u;
-        f.wired_owd_ms = wired_owd_ms;
-        f.max_cwnd = 1536 * 1024;  // Linux default-autotuned receive window
-        handles.push_back(s.add_flow(f));
-    }
-    s.run(duration);
-
-    tcp_grid_result r;
-    for (int h : handles) {
-        for (double v : s.owd_ms(h).raw()) r.owd_ms.add(v);
-        r.tput_mbps.add(s.goodput_mbps(h));
-    }
-    return r;
-}
 
 // "p10/p25/p50/p75/p90" summary the paper's box plots report.
 inline std::string box(const stats::sample_set& s, int precision = 1)

@@ -14,167 +14,150 @@ namespace l4span::scenario {
 
 namespace {
 
-// --- tcp_grid (bench_fig09_tcp_grid) ----------------------------------------
+// --- sweep (fig09/13/16/17/19/24 and custom single-cell grids) -------------
 
-int run_tcp_grid(const scenario_spec& spec, const bench_args& args,
-                 stats::json* summary_out)
+// One sweep point's output. `record` holds the labels and every metric a
+// figure may read; `flows` (one entry per flow) is appended after any
+// baseline reductions. `row` is the point's table line.
+struct point_out {
+    stats::json record;
+    stats::json flows = stats::json::array();
+    std::vector<std::string> row;
+    double owd_p50 = 0.0;
+    double rtt_p50 = 0.0;
+};
+
+point_out run_sweep_point(const sweep_point& p, sim::tick duration,
+                          const bench_args& args, std::size_t index)
 {
-    const tcp_grid_family& fam = spec.tcp_grid;
-    benchutil::header(spec.title.c_str(), spec.paper_ref.c_str());
-
-    struct grid_point {
-        double rtt;
-        std::size_t queue;
-        int ues;
-        std::string cca;
-        std::string chan;
-        bool on;
-    };
-    std::vector<grid_point> points;
-    for (const double rtt : fam.rtts_ms)
-        for (const std::size_t queue : fam.queues_sdus)
-            for (const int ues : fam.ue_counts)
-                for (const auto& cca : fam.ccas)
-                    for (const auto& chan : fam.channels)
-                        for (const bool on : {false, true})
-                            points.push_back({rtt, queue, ues, cca, chan, on});
-
-    grid_runner pool(args.jobs);
-    std::fprintf(stderr, "%s: %zu grid points on %d worker(s)\n",
-                 spec.figure.c_str(), points.size(), pool.jobs());
-    const auto results = pool.map(points.size(), [&](std::size_t i) {
-        // One artifact prefix per grid point, so parallel points never
-        // write over each other's JSONL files.
-        const std::string obs = args.obs_out.empty()
-                                    ? std::string()
-                                    : args.obs_out + "-" + std::to_string(i);
-        const grid_point& p = points[i];
-        return benchutil::run_tcp_grid_cell(p.cca, p.ues, p.queue, p.rtt, p.chan,
-                                            p.on, fam.seed_base, spec.duration,
-                                            args.impair_noop, obs);
-    });
-
-    auto summary = stats::json::object();
-    summary.set("figure", spec.figure).set("quick", spec.quick);
-    auto json_points = stats::json::array();
-
-    std::size_t idx = 0;
-    for (const double rtt : fam.rtts_ms) {
-        for (const std::size_t queue : fam.queues_sdus) {
-            for (const int ues : fam.ue_counts) {
-                std::printf("\n--- %d UEs, RLC queue %zu SDUs, base RTT %.0f ms ---\n",
-                            ues, queue, 2 * rtt);
-                stats::table t({"cca", "chan", "L4Span", "OWD ms p10/p25/p50/p75/p90",
-                                "per-UE Mbit/s p10..p90", "OWD reduction"});
-                for (const auto& cca : fam.ccas) {
-                    for (const auto& chan : fam.channels) {
-                        double base_median = 0.0;
-                        for (const bool on : {false, true}) {
-                            const auto& r = results[idx];
-                            const auto& p = points[idx];
-                            ++idx;
-                            std::string reduction = "-";
-                            double reduction_pct = 0.0;
-                            if (!on) {
-                                base_median = r.owd_ms.median();
-                            } else if (base_median > 0.0) {
-                                reduction_pct =
-                                    100.0 * (1.0 - r.owd_ms.median() / base_median);
-                                reduction = stats::table::num(reduction_pct, 1) + "%";
-                            }
-                            t.add_row({cca, chan, on ? "+" : "-",
-                                       benchutil::box(r.owd_ms),
-                                       benchutil::box(r.tput_mbps, 2), reduction});
-                            auto jp = stats::json::object();
-                            jp.set("cca", p.cca)
-                                .set("chan", p.chan)
-                                .set("l4span", p.on)
-                                .set("ues", p.ues)
-                                .set("rlc_queue_sdus", p.queue)
-                                .set("base_rtt_ms", 2 * p.rtt)
-                                .set("owd_ms", benchutil::box_json(r.owd_ms))
-                                .set("tput_mbps", benchutil::box_json(r.tput_mbps));
-                            if (on) jp.set("owd_reduction_pct", reduction_pct);
-                            json_points.push(std::move(jp));
-                        }
-                    }
-                }
-                t.print();
-            }
+    cell_spec cell = p.cell;
+    cell.impair_dl.force_stage = cell.impair_dl.force_stage || args.impair_noop;
+    cell.impair_ul.force_stage = cell.impair_ul.force_stage || args.impair_noop;
+    // One artifact prefix per grid point, so parallel points never write
+    // over each other's JSONL files.
+    if (!args.obs_out.empty()) {
+        cell.obs.enabled = true;
+        cell.obs.out_prefix = args.obs_out + "-" + std::to_string(index);
+    }
+    cell_scenario s(cell);
+    std::vector<std::pair<int, flow_spec>> handles;
+    for (const auto& fl : p.flows) {
+        for (int k = 0; k < fl.count; ++k) {
+            flow_spec f = fl.spec;
+            f.ue = fl.spec.ue + k;
+            handles.emplace_back(s.add_flow(f), f);
         }
     }
-    summary.set("points", std::move(json_points));
-    if (summary_out) *summary_out = summary;
-    return benchutil::finish(args, summary);
+    s.run(duration);
+
+    point_out out;
+    stats::sample_set owd, rtt, tput, queue;  // owd/rtt pooled, tput per flow
+    double rate_sum = 0.0, l4s_tput = 0.0, l4s_rtt = 0.0, rtt_p50_sum = 0.0;
+    double rtt_sum = 0.0, zero = 0.0;  // zero: queue samples below half an SDU
+    std::size_t rtt_n = 0;
+    std::uint64_t retx = 0;
+    for (const auto& [h, f] : handles) {
+        stats::sample_set flow_owd;
+        for (double v : s.owd_ms(h).raw()) {
+            owd.add(v);
+            flow_owd.add(v);
+        }
+        const stats::sample_set& flow_rtt = s.rtt_ms(h);
+        for (double v : flow_rtt.raw()) rtt.add(v);
+        rtt_sum += flow_rtt.mean() * static_cast<double>(flow_rtt.count());
+        rtt_n += flow_rtt.count();
+        const double rtt_p50 = flow_rtt.median();
+        const double goodput = s.goodput_mbps(h);
+        tput.add(goodput);
+        rate_sum += goodput;
+        rtt_p50_sum += rtt_p50;
+        if (is_l4s_cca(f.cca)) {
+            l4s_tput += goodput;
+            l4s_rtt += rtt_p50;
+        }
+        const std::uint64_t flow_retx = s.flow_retransmits(h);
+        retx += flow_retx;
+        auto jf = stats::json::object();
+        jf.set("cca", f.cca)
+            .set("ue", f.ue)
+            .set("goodput_mbps", goodput)
+            .set("owd_ms", benchutil::box_json(flow_owd))
+            .set("rtt_p50_ms", rtt_p50)
+            .set("retransmits", flow_retx);
+        out.flows.push(std::move(jf));
+    }
+    for (int u = 0; u < cell.num_ues; ++u) {
+        for (double v : s.rlc_queue_sdus(u).raw()) {
+            queue.add(v);
+            if (v < 0.5) zero += 1.0;
+        }
+    }
+
+    out.record = p.label;
+    for (const auto& [key, v] : p.label.members())
+        out.row.push_back(v.is_string() ? v.as_string() : v.dump_compact());
+    out.record.set("owd_ms", benchutil::box_json(owd))
+        .set("rtt_ms", benchutil::box_json(rtt))
+        .set("tput_mbps", benchutil::box_json(tput))
+        .set("rate_sum_mbps", rate_sum)
+        .set("mean_rtt_ms", rtt_n ? rtt_sum / static_cast<double>(rtt_n) : 0.0)
+        .set("queue_sdus", benchutil::box_json(queue))
+        .set("frac_at_zero",
+             queue.count() ? zero / static_cast<double>(queue.count()) : 0.0)
+        .set("l4s_tput_share_pct", rate_sum > 0 ? 100.0 * l4s_tput / rate_sum : 0.0)
+        .set("l4s_rtt_share_pct", rtt_p50_sum > 0 ? 100.0 * l4s_rtt / rtt_p50_sum : 0.0)
+        .set("retransmits", retx);
+    out.row.insert(out.row.end(),
+                   {benchutil::box(owd), stats::table::num(rtt.median(), 1),
+                    benchutil::box(tput, 2), stats::table::num(rate_sum, 1),
+                    stats::table::num(queue.median(), 0), std::to_string(retx)});
+    out.owd_p50 = owd.median();
+    out.rtt_p50 = rtt.median();
+    return out;
 }
 
-// --- shared_drb (bench_fig16_shared_drb) ------------------------------------
-
-int run_shared_drb(const scenario_spec& spec, const bench_args& args,
-                   stats::json* summary_out)
+int run_sweep(const scenario_spec& spec, const bench_args& args, stats::json* summary_out)
 {
-    const shared_drb_family& fam = spec.shared_drb;
     benchutil::header(spec.title.c_str(), spec.paper_ref.c_str());
-
-    struct share_result {
-        double prague_mbps = 0.0;
-        double cubic_mbps = 0.0;
-        double prague_rtt_ms = 0.0;
-        double cubic_rtt_ms = 0.0;
-    };
+    const std::vector<sweep_point> points = sweep_points(spec.sweep);
+    const bool has_baseline = !spec.sweep.baseline.empty();
 
     grid_runner pool(args.jobs);
-    std::fprintf(stderr, "%s: %zu strategies on %d worker(s)\n",
-                 spec.figure.c_str(), fam.strategies.size(), pool.jobs());
-    const auto results = pool.map(fam.strategies.size(), [&](std::size_t i) {
-        cell_spec cell;
-        cell.num_ues = 1;
-        cell.channel = "static";
-        cell.cu = cu_mode::l4span;
-        cell.separate_drbs_per_class = false;  // the low-end single-DRB UE
-        cell.l4s.shared_policy = fam.strategies[i].policy;
-        cell.seed = fam.seed;
-        cell_scenario s(cell);
-        flow_spec prague;
-        prague.cca = "prague";
-        const int hp = s.add_flow(prague);
-        flow_spec cubic;
-        cubic.cca = "cubic";
-        const int hc = s.add_flow(cubic);
-        s.run(spec.duration);
-
-        share_result r;
-        r.prague_mbps = s.goodput_mbps(hp);
-        r.cubic_mbps = s.goodput_mbps(hc);
-        r.prague_rtt_ms = s.rtt_ms(hp).median();
-        r.cubic_rtt_ms = s.rtt_ms(hc).median();
-        return r;
+    std::fprintf(stderr, "%s: %zu grid points on %d worker(s)\n", spec.figure.c_str(),
+                 points.size(), pool.jobs());
+    auto results = pool.map(points.size(), [&](std::size_t i) {
+        return run_sweep_point(points[i], spec.duration, args, i);
     });
 
-    auto summary = stats::json::object();
-    summary.set("figure", spec.figure).set("quick", spec.quick);
+    std::vector<std::string> columns;
+    for (const auto& [key, v] : points.front().label.members()) columns.push_back(key);
+    columns.insert(columns.end(), {"OWD ms p10/p25/p50/p75/p90", "RTT ms p50",
+                                   "per-flow Mbit/s p10..p90", "sum Mbit/s",
+                                   "RLC queue p50", "retx"});
+    if (has_baseline) columns.insert(columns.end(), {"OWD reduction", "RTT reduction"});
+    stats::table t(columns);
     auto json_points = stats::json::array();
-
-    stats::table t({"strategy", "L4S tput share (%)", "L4S RTT share (%)",
-                    "prague Mbit/s", "cubic Mbit/s"});
-    for (std::size_t i = 0; i < fam.strategies.size(); ++i) {
-        const auto& r = results[i];
-        const double rp = r.prague_mbps, rc = r.cubic_mbps;
-        const double tp = r.prague_rtt_ms, tc = r.cubic_rtt_ms;
-        const double tput_share = rp + rc > 0 ? 100.0 * rp / (rp + rc) : 0;
-        const double rtt_share = tp + tc > 0 ? 100.0 * tp / (tp + tc) : 0;
-        t.add_row({fam.strategies[i].label, stats::table::num(tput_share, 1),
-                   stats::table::num(rtt_share, 1), stats::table::num(rp, 2),
-                   stats::table::num(rc, 2)});
-        auto jp = stats::json::object();
-        jp.set("strategy", fam.strategies[i].label)
-            .set("l4s_tput_share_pct", tput_share)
-            .set("l4s_rtt_share_pct", rtt_share)
-            .set("prague_mbps", rp)
-            .set("cubic_mbps", rc);
-        json_points.push(std::move(jp));
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        point_out& r = results[i];
+        if (has_baseline && points[i].baseline < 0) r.row.insert(r.row.end(), {"-", "-"});
+        if (points[i].baseline >= 0) {
+            // 100 (1 - value / base); 0 when the baseline median is not positive.
+            const point_out& base = results[static_cast<std::size_t>(points[i].baseline)];
+            const double owd =
+                base.owd_p50 > 0.0 ? 100.0 * (1.0 - r.owd_p50 / base.owd_p50) : 0.0;
+            const double rtt =
+                base.rtt_p50 > 0.0 ? 100.0 * (1.0 - r.rtt_p50 / base.rtt_p50) : 0.0;
+            r.record.set("owd_reduction_pct", owd).set("rtt_reduction_pct", rtt);
+            r.row.insert(r.row.end(), {stats::table::num(owd, 1) + "%",
+                                       stats::table::num(rtt, 1) + "%"});
+        }
+        r.record.set("flows", std::move(r.flows));
+        t.add_row(std::move(r.row));
+        json_points.push(std::move(r.record));
     }
     t.print();
+    auto summary = stats::json::object();
+    summary.set("figure", spec.figure).set("quick", spec.quick);
     summary.set("points", std::move(json_points));
     if (summary_out) *summary_out = summary;
     return benchutil::finish(args, summary);
@@ -453,89 +436,98 @@ int run_fault_chaos(const scenario_spec& spec, const bench_args& args,
     return benchutil::finish(args, summary);
 }
 
-// --- cell_flows (schema-only generic family) --------------------------------
+// --- builtin sweeps -----------------------------------------------------------
+// Axis values are written in scenario-file form, exactly as a JSON file
+// would spell them.
 
-int run_cell_flows(const scenario_spec& spec, const bench_args& args,
-                   stats::json* summary_out)
+stats::json one(const char* key, stats::json v)
 {
-    const cell_flows_family& fam = spec.cell_flows;
-    benchutil::header(spec.title.c_str(), spec.paper_ref.c_str());
+    return stats::json::object().set(key, std::move(v));
+}
 
-    struct flow_result {
-        std::string cca;
-        int ue = 0;
-        double goodput_mbps = 0.0;
-        stats::sample_set owd_ms;
-        double rtt_p50_ms = 0.0;
-        std::uint64_t retransmits = 0;
-    };
+// A {"cell": cell, "flows": [flow]} override, leaving out a null part. The
+// flow part overrides the first flow only (arrays merge by index).
+stats::json override_of(stats::json cell, stats::json flow = {})
+{
+    auto set = stats::json::object();
+    if (!cell.is_null()) set.set("cell", std::move(cell));
+    if (!flow.is_null()) set.set("flows", stats::json::array().push(std::move(flow)));
+    return set;
+}
 
-    grid_runner pool(args.jobs);
-    std::fprintf(stderr, "%s: %zu grid points on %d worker(s)\n",
-                 spec.figure.c_str(), fam.seeds.size(), pool.jobs());
-    const auto results = pool.map(fam.seeds.size(), [&](std::size_t i) {
-        cell_spec cell = fam.cell;
-        cell.seed = fam.seeds[i];
-        cell.impair_dl.force_stage = cell.impair_dl.force_stage || args.impair_noop;
-        cell.impair_ul.force_stage = cell.impair_ul.force_stage || args.impair_noop;
-        if (!args.obs_out.empty()) {
-            cell.obs.enabled = true;
-            cell.obs.out_prefix = args.obs_out + "-" + std::to_string(i);
-        }
-        cell_scenario s(cell);
-        std::vector<std::pair<int, flow_result>> handles;
-        for (const auto& fl : fam.flows) {
-            for (int k = 0; k < fl.count; ++k) {
-                flow_spec f = fl.spec;
-                f.ue = fl.spec.ue + k;
-                flow_result meta;
-                meta.cca = f.cca;
-                meta.ue = f.ue;
-                handles.emplace_back(s.add_flow(f), std::move(meta));
-            }
-        }
-        s.run(spec.duration);
-        std::vector<flow_result> out;
-        for (auto& [h, meta] : handles) {
-            meta.goodput_mbps = s.goodput_mbps(h);
-            for (double v : s.owd_ms(h).raw()) meta.owd_ms.add(v);
-            meta.rtt_p50_ms = s.rtt_ms(h).median();
-            meta.retransmits = s.flow_retransmits(h);
-            out.push_back(std::move(meta));
-        }
-        return out;
+// An axis named after its one label key: value x is labelled {name: x}
+// and applies set(x).
+template <class T, class Set>
+sweep_family::axis axis_of(const char* name, const std::vector<T>& xs, Set set)
+{
+    sweep_family::axis a{name, {}};
+    for (const T& x : xs) a.values.push_back({one(name, stats::json(x)), set(x)});
+    return a;
+}
+
+sweep_family::axis cca_axis(const std::vector<std::string>& ccas, const char* name = "cca")
+{
+    return axis_of(name, ccas,
+                   [](const std::string& c) { return override_of({}, one("cca", c)); });
+}
+
+sweep_family::axis chan_axis(const std::vector<std::string>& chans)
+{
+    return axis_of("chan", chans,
+                   [](const std::string& c) { return override_of(one("channel", c)); });
+}
+
+// {vanilla, +L4Span}: the baseline axis of the delay-reduction grids.
+sweep_family::axis l4span_axis()
+{
+    return axis_of("l4span", std::vector<bool>{false, true}, [](bool on) {
+        return override_of(one("cu", on ? "l4span" : "none"));
     });
+}
 
-    auto summary = stats::json::object();
-    summary.set("figure", spec.figure).set("quick", spec.quick);
-    auto json_points = stats::json::array();
+// UE count: the cell size and the replica count of the one flow.
+sweep_family::axis ues_axis(const std::vector<int>& ue_counts)
+{
+    return axis_of("ues", ue_counts,
+                   [](int n) { return override_of(one("num_ues", n), one("count", n)); });
+}
 
-    stats::table t({"seed", "flow", "cca", "ue", "Mbit/s",
-                    "OWD ms p10/p25/p50/p75/p90", "RTT ms p50", "retx"});
-    for (std::size_t i = 0; i < fam.seeds.size(); ++i) {
-        for (std::size_t fi = 0; fi < results[i].size(); ++fi) {
-            const flow_result& r = results[i][fi];
-            t.add_row({std::to_string(fam.seeds[i]), std::to_string(fi), r.cca,
-                       std::to_string(r.ue), stats::table::num(r.goodput_mbps, 2),
-                       benchutil::box(r.owd_ms),
-                       stats::table::num(r.rtt_p50_ms, 1),
-                       std::to_string(r.retransmits)});
-            auto jp = stats::json::object();
-            jp.set("seed", fam.seeds[i])
-                .set("flow", static_cast<std::uint64_t>(fi))
-                .set("cca", r.cca)
-                .set("ue", r.ue)
-                .set("goodput_mbps", r.goodput_mbps)
-                .set("owd_ms", benchutil::box_json(r.owd_ms))
-                .set("rtt_p50_ms", r.rtt_p50_ms)
-                .set("retransmits", r.retransmits);
-            json_points.push(std::move(jp));
+// Names a builtin sweep and returns its parameter block.
+sweep_family& sweep_builtin(scenario_spec& spec, const char* figure, const char* title,
+                            const char* paper_ref, double seconds)
+{
+    spec.figure = figure;
+    spec.title = title;
+    spec.paper_ref = paper_ref;
+    spec.family = "sweep";
+    spec.duration = sim::from_sec(seconds);
+    return spec.sweep;
+}
+
+// The Fig. 9/24 congested cell: `ues` long-lived downloads of one CCA with
+// the Linux default-autotuned receive window, crossed over cell size (RLC
+// queue x UE count, seeded seed_base + ues + queue), CCA, channel and
+// {vanilla, +L4Span}.
+void congested_cell_grid(sweep_family& sw, std::uint64_t seed_base,
+                         const std::vector<std::size_t>& queues,
+                         const std::vector<int>& ue_counts,
+                         const std::vector<std::string>& ccas,
+                         const std::vector<std::string>& chans)
+{
+    sweep_family::flow f;
+    f.spec.max_cwnd = 1536 * 1024;
+    sw.flows = {f};
+    sweep_family::axis size{"cell_size", {}};
+    for (const std::size_t q : queues) {
+        for (const int n : ue_counts) {
+            const auto label = one("rlc_queue_sdus", q).set("ues", n);
+            const auto cell = one("num_ues", n).set("rlc_queue_sdus", q).set(
+                "seed", seed_base + static_cast<std::uint64_t>(n) + q);
+            size.values.push_back({label, override_of(cell, one("count", n))});
         }
     }
-    t.print();
-    summary.set("points", std::move(json_points));
-    if (summary_out) *summary_out = summary;
-    return benchutil::finish(args, summary);
+    sw.axes = {size, cca_axis(ccas), chan_axis(chans), l4span_axis()};
+    sw.baseline = "l4span";
 }
 
 }  // namespace
@@ -545,40 +537,119 @@ scenario_spec builtin_scenario(const std::string& name, bool quick)
     scenario_spec spec;
     spec.quick = quick;
     if (name == "fig09") {
-        spec.figure = "fig09";
-        spec.title = "Fig. 9: TCP one-way delay vs per-UE throughput grid";
-        spec.paper_ref =
+        sweep_family& sw = sweep_builtin(
+            spec, "fig09", "Fig. 9: TCP one-way delay vs per-UE throughput grid",
             "L4Span cuts Prague/CUBIC median OWD by ~98% (static), ~97% "
-            "(mobile), BBRv2 by ~52%, at <10% median throughput cost";
-        spec.family = "tcp_grid";
-        spec.duration = sim::from_sec(6);
+            "(mobile), BBRv2 by ~52%, at <10% median throughput cost",
+            6);
+        std::vector<double> base_rtts{38.0, 106.0};
         if (quick) {  // 2-point CI slice: one cell, with and without L4Span
-            spec.tcp_grid.rtts_ms = {19.0};
-            spec.tcp_grid.queues_sdus = {256};
-            spec.tcp_grid.ue_counts = {16};
-            spec.tcp_grid.ccas = {"prague"};
-            spec.tcp_grid.channels = {"static"};
+            base_rtts = {38.0};
+            congested_cell_grid(sw, 1000, {256}, {16}, {"prague"}, {"static"});
+        } else {
+            congested_cell_grid(sw, 1000, {16384, 256}, {16, 64},
+                                {"prague", "bbr2", "cubic"}, {"static", "mobile"});
         }
+        // Base RTT is twice the one-way server->core delay.
+        sw.axes.insert(sw.axes.begin(), axis_of("base_rtt_ms", base_rtts, [](double rtt) {
+                           return override_of({}, one("wired_owd_ms", rtt / 2));
+                       }));
+        return spec;
+    }
+    if (name == "fig24") {
+        // The default 19 ms one-way wired delay (~38 ms base RTT).
+        sweep_family& sw = sweep_builtin(
+            spec, "fig24", "Fig. 24: BBR and Reno grid",
+            "Reno OWD -97%; BBR roughly unchanged medians (no ECN react)", 6);
+        if (quick)
+            congested_cell_grid(sw, 2000, {256}, {16}, {"reno"}, {"static"});
+        else
+            congested_cell_grid(sw, 2000, {16384, 256}, {16, 64}, {"bbr", "reno"},
+                                {"static", "mobile"});
+        return spec;
+    }
+    if (name == "fig13") {
+        sweep_family& sw = sweep_builtin(
+            spec, "fig13", "Fig. 13: SCReAM and UDP Prague with L4Span",
+            "RTT reductions: UDP Prague 76/38/45%, SCReAM 13/11/38% "
+            "(static/pedestrian/vehicular) at modest throughput cost",
+            10);
+        sw.cell.num_ues = 8;
+        sw.cell.seed = 53;
+        sweep_family::flow f;
+        f.spec.wired_owd_ms = 5.0;  // local media server
+        f.count = 8;
+        sw.flows = {f};
+        if (quick)  // 2-point CI slice: one cell, with and without L4Span
+            sw.axes = {cca_axis({"udp-prague"}, "algo"), chan_axis({"static"})};
+        else
+            sw.axes = {cca_axis({"udp-prague", "scream"}, "algo"),
+                       chan_axis({"static", "pedestrian", "vehicular"})};
+        sw.axes.push_back(l4span_axis());
+        sw.baseline = "l4span";
         return spec;
     }
     if (name == "fig16") {
-        spec.figure = "fig16";
-        spec.title = "Fig. 16: shared-DRB marking strategies";
-        spec.paper_ref =
+        // One UE whose Prague and CUBIC flows share a single DRB.
+        sweep_family& sw = sweep_builtin(
+            spec, "fig16", "Fig. 16: shared-DRB marking strategies",
             "'original' starves L4S, 'L4S-for-all' starves classic "
             "(~25%), 'classic-for-all' is noisy; L4Span's coupling "
-            "lands near 50/50 with the least variance";
-        spec.family = "shared_drb";
-        spec.duration = sim::from_sec(15);
-        spec.shared_drb.strategies = {
-            {"original", core::shared_drb_policy::original},
-            {"L4S-for-all", core::shared_drb_policy::l4s_all},
-            {"classic-for-all", core::shared_drb_policy::classic_all},
-            {"L4Span (coupled)", core::shared_drb_policy::coupled},
-        };
+            "lands near 50/50 with the least variance",
+            15);
+        sw.cell.seed = 71;
+        sweep_family::flow prague, cubic;
+        cubic.spec.cca = "cubic";
+        sw.flows = {prague, cubic};
+        const std::pair<const char*, const char*> strategies[] = {
+            {"original", "original"},
+            {"L4S-for-all", "l4s_all"},
+            {"classic-for-all", "classic_all"},
+            {"L4Span (coupled)", "coupled"}};
+        sweep_family::axis a{"strategy", {}};
+        for (const auto& [label, policy] : strategies) {
+            const auto set = override_of(one("l4s", one("shared_policy", policy)));
+            a.values.push_back({one("strategy", label), set});
+        }
         if (quick)  // CI slice: the strawman vs the paper's design
-            spec.shared_drb.strategies = {spec.shared_drb.strategies.front(),
-                                          spec.shared_drb.strategies.back()};
+            a.values = {a.values.front(), a.values.back()};
+        sw.axes = {a};
+        return spec;
+    }
+    if (name == "fig17") {
+        sweep_family& sw = sweep_builtin(
+            spec, "fig17", "Fig. 17: RLC queue CDFs under L4Span",
+            "L4S queues stay in the ~10 SDU range; classic queues keep "
+            "a working buffer and rarely reach zero",
+            6);
+        sw.cell.seed = 83;
+        sweep_family::flow f;
+        f.spec.max_cwnd = 1536 * 1024;
+        sw.flows = {f};
+        // CI slice: both classes, one small cell.
+        sw.axes = {ues_axis(quick ? std::vector<int>{16} : std::vector<int>{16, 64}),
+                   cca_axis({"prague", "cubic"}),
+                   chan_axis(quick ? std::vector<std::string>{"static"}
+                                   : std::vector<std::string>{"static", "mobile"})};
+        return spec;
+    }
+    if (name == "fig19") {
+        sweep_family& sw = sweep_builtin(
+            spec, "fig19", "Fig. 19: sojourn threshold tau_s sweep",
+            "throughput saturates around tau_s = 10 ms while RTT keeps "
+            "growing with the threshold",
+            6);
+        sw.cell.seed = 89;
+        sw.flows = {sweep_family::flow{}};
+        const std::vector<double> taus =
+            quick ? std::vector<double>{10.0}
+                  : std::vector<double>{1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0};
+        const auto tau_set = [](double tau) {
+            return override_of(one("l4s", one("sojourn_threshold_ms", tau)));
+        };
+        sw.axes = {axis_of("tau_ms", taus, tau_set),
+                   ues_axis(quick ? std::vector<int>{1, 4}
+                                  : std::vector<int>{1, 4, 16, 64})};
         return spec;
     }
     if (name == "ecn_impairment") {
@@ -685,20 +756,19 @@ scenario_spec builtin_scenario(const std::string& name, bool quick)
         return spec;
     }
     throw scenario_error("unknown builtin scenario \"" + name +
-                         "\" (valid: fig09, fig16, ecn_impairment, fault_chaos)");
+                         "\" (valid: fig09, fig13, fig16, fig17, fig19, fig24, "
+                         "ecn_impairment, fault_chaos)");
 }
 
 int run_scenario(const scenario_spec& spec, const bench_args& args,
                  stats::json* summary_out)
 {
     spec.validate();
-    if (spec.family == "tcp_grid") return run_tcp_grid(spec, args, summary_out);
-    if (spec.family == "shared_drb") return run_shared_drb(spec, args, summary_out);
+    if (spec.family == "sweep") return run_sweep(spec, args, summary_out);
     if (spec.family == "ecn_impairment")
         return run_ecn_impairment(spec, args, summary_out);
     if (spec.family == "fault_chaos")
         return run_fault_chaos(spec, args, summary_out);
-    if (spec.family == "cell_flows") return run_cell_flows(spec, args, summary_out);
     throw scenario_error("run_scenario: unknown family \"" + spec.family + "\"");
 }
 

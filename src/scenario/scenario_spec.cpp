@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 namespace l4span::scenario {
@@ -28,7 +27,8 @@ sim::tick sec_to_tick(double s)
 
 [[noreturn]] void fail(const std::string& origin, int line, const std::string& msg)
 {
-    std::string out = origin + ": " + msg;
+    // validate() has no origin; parse_scenario_text prefixes its errors.
+    std::string out = origin.empty() ? msg : origin + ": " + msg;
     if (line > 0) out += " (line " + std::to_string(line) + ")";
     throw scenario_error(out);
 }
@@ -85,11 +85,9 @@ std::string join(const Table& table)
 template <class S, class Fn>
 void for_each_family(S& s, Fn&& fn)
 {
-    fn("tcp_grid", s.tcp_grid);
-    fn("shared_drb", s.shared_drb);
+    fn("sweep", s.sweep);
     fn("ecn_impairment", s.ecn_impairment);
     fn("fault_chaos", s.fault_chaos);
-    fn("cell_flows", s.cell_flows);
 }
 
 std::string family_names(const scenario_spec& s)
@@ -123,9 +121,10 @@ std::string trace_unavailable(const std::string& channel)
 // (any exactly representable non-negative integer), ms/seconds (a tick in
 // ms/s), stop_ms (ms, or -1 for "never"), str (optionally checked), choice
 // (a name from a table), object (nested struct), objects (array of structs),
-// values (required non-empty array of scalars), fallback (a derived default
-// for an empty string; parse only). `v.index` is the position of the struct
-// in its parent array, -1 for a plain object.
+// values (required non-empty array of booleans), raw (a JSON object kept as
+// parsed), fallback (a derived default for an empty string; parse only).
+// `v.index` is the position of the struct in its parent array, -1 for a
+// plain object.
 
 // Whether an array key must be present (and non-empty), may be, or is not
 // part of this object at all (rejected on parse, omitted on export).
@@ -212,7 +211,7 @@ void fields(V& v, cell_spec& c)
 }
 
 template <class V>
-void fields(V& v, cell_flows_family::flow& fl)
+void fields(V& v, sweep_family::flow& fl)
 {
     flow_spec& f = fl.spec;
     v.str("cca", f.cca);
@@ -231,32 +230,6 @@ void fields(V& v, cell_flows_family::flow& fl)
     v.number("keyframe_interval_s", f.keyframe_interval_s, 0.01, 3600.0);
     v.number("keyframe_scale", f.keyframe_scale, 1.0, 1e3);
     v.number("frame_deadline_ms", f.frame_deadline_ms, 0.1, 10e3);
-}
-
-template <class V>
-void fields(V& v, tcp_grid_family& f)
-{
-    v.u64("seed_base", f.seed_base);
-    v.values("rtts_ms", f.rtts_ms, "numbers in [0, 10000]", 0.0, 10e3);
-    v.values("queues_sdus", f.queues_sdus, "integers >= 1", 1.0, 1 << 30);
-    v.values("ue_counts", f.ue_counts, "integers in [1, 4096]", 1.0, 4096.0);
-    v.values("ccas", f.ccas, "strings");
-    v.values("channels", f.channels, "strings");
-}
-
-template <class V>
-void fields(V& v, shared_drb_family::strategy& st)
-{
-    v.str("label", st.label);
-    v.choice("policy", st.policy, "shared-DRB policy", k_policies);
-    v.fallback(st.label, shared_drb_policy_name(st.policy));
-}
-
-template <class V>
-void fields(V& v, shared_drb_family& f)
-{
-    v.u64("seed", f.seed);
-    v.objects("strategies", f.strategies, need::required);
 }
 
 template <class V>
@@ -285,7 +258,7 @@ void fields(V& v, ecn_impairment_family& f)
     v.number("bottleneck_bps", f.bottleneck_bps, 1e3, 1e12);
     v.choice("bottleneck_aqm", f.bottleneck_aqm, "AQM", k_aqms);
     v.number("cross_rate_bps", f.cross_rate_bps, 0.0, 1e12);
-    v.values("cross_options", f.cross_options, "booleans");
+    v.values("cross_options", f.cross_options);
     v.objects("ccas", f.ccas, need::required);
     v.objects("profiles", f.profiles, need::required);
 }
@@ -324,11 +297,48 @@ void fields(V& v, fault_chaos_family& f)
 }
 
 template <class V>
-void fields(V& v, cell_flows_family& f)
+void fields(V& v, sweep_family::value& x)
 {
-    v.values("seeds", f.seeds, "non-negative integers", 0.0, k_max_exact);
+    v.raw("label", x.label);
+    v.raw("set", x.set);
+}
+
+template <class V>
+void fields(V& v, sweep_family::axis& a)
+{
+    v.str("name", a.name);
+    v.fallback(a.name, "axis" + std::to_string(v.index));
+    v.objects("values", a.values, need::required);
+}
+
+// "" or what is wrong with `baseline` as an axis name of `f`.
+std::string baseline_error(const sweep_family& f, const std::string& baseline)
+{
+    if (baseline.empty()) return "";
+    std::string names;
+    for (const auto& a : f.axes) {
+        if (a.name == baseline) return "";
+        names += (names.empty() ? "" : ", ") + a.name;
+    }
+    return "baseline \"" + baseline + "\" names no axis (valid: " + names + ")";
+}
+
+template <class V>
+void fields(V& v, sweep_family& f)
+{
     v.object("cell", f.cell);
     v.objects("flows", f.flows, need::required);
+    v.objects("axes", f.axes, need::optional);
+    v.str("baseline", f.baseline,
+          [&](const std::string& b) { return baseline_error(f, b); });
+}
+
+// What an axis value's `set` may override.
+template <class V>
+void fields(V& v, sweep_point& p)
+{
+    v.object("cell", p.cell);
+    v.objects("flows", p.flows, need::optional);
 }
 
 template <class V>
@@ -349,9 +359,11 @@ void fields(V& v, scenario_spec& s)
 
 class reader {
 public:
+    // `merge`: arrays of objects bind by index onto the existing elements
+    // (a sweep override) instead of replacing the array.
     reader(const std::string& origin, const stats::json& node, std::string path,
-           int index = -1)
-        : index(index), origin_(origin), node_(node), path_(std::move(path))
+           int index = -1, bool merge = false)
+        : index(index), origin_(origin), node_(node), path_(std::move(path)), merge_(merge)
     {
         if (!node_.is_object())
             fail(origin_, node_.line(), "\"" + path_ + "\" must be an object");
@@ -472,7 +484,8 @@ public:
         if (!v) return;
         if (!v->is_object()) fail_key(key, *v, "must be an object");
         // Family sections hang off the root but are named by themselves.
-        reader r(origin_, *v, path_ == "$" ? std::string(key) : path_ + "." + key);
+        reader r(origin_, *v, path_ == "$" ? std::string(key) : path_ + "." + key, -1,
+                 merge_);
         fields(r, member);
         r.done();
     }
@@ -482,46 +495,35 @@ public:
     {
         const stats::json* a = list(key, n);
         if (!a) return;
-        out.clear();
+        if (!merge_) out.clear();
         for (std::size_t i = 0; i < a->elements().size(); ++i) {
             reader r(origin_, a->elements()[i],
                      path_ + "." + key + "[" + std::to_string(i) + "]",
-                     static_cast<int>(i));
-            T item{};
-            fields(r, item);
+                     static_cast<int>(i), merge_);
+            if (i == out.size()) out.emplace_back();
+            fields(r, out[i]);
             r.done();
-            out.push_back(std::move(item));
         }
     }
 
-    // Required, non-empty array of scalars; numbers must lie in [lo, hi]
-    // (and be integers for an integral T). `what` ends the diagnostic
-    // "entries must be ...".
-    template <class T>
-    void values(const char* key, std::vector<T>& out, const char* what,
-                double lo = 0.0, double hi = 0.0)
+    void raw(const char* key, stats::json& out)
+    {
+        const stats::json* v = opt(key);
+        if (!v) return;
+        if (!v->is_object()) fail_key(key, *v, "must be an object");
+        out = *v;
+    }
+
+    // Required, non-empty array of booleans.
+    void values(const char* key, std::vector<bool>& out)
     {
         const stats::json* a = list(key, need::required);
         out.clear();
         for (const auto& e : a->elements()) {
-            bool ok;
-            if constexpr (std::is_same_v<T, std::string>)
-                ok = e.is_string();
-            else if constexpr (std::is_same_v<T, bool>)
-                ok = e.is_bool();
-            else
-                ok = e.is_number() && e.as_number() >= lo && e.as_number() <= hi &&
-                     (std::is_floating_point_v<T> ||
-                      e.as_number() == std::floor(e.as_number()));
-            if (!ok)
+            if (!e.is_bool())
                 fail(origin_, e.line(),
-                     "key \"" + path_ + "." + key + "\" entries must be " + what);
-            if constexpr (std::is_same_v<T, std::string>)
-                out.push_back(e.as_string());
-            else if constexpr (std::is_same_v<T, bool>)
-                out.push_back(e.as_bool());
-            else
-                out.push_back(static_cast<T>(e.as_number()));
+                     "key \"" + path_ + "." + key + "\" entries must be booleans");
+            out.push_back(e.as_bool());
         }
     }
 
@@ -621,6 +623,7 @@ private:
     const std::string& origin_;
     const stats::json& node_;
     std::string path_;
+    bool merge_;
     std::vector<const char*> known_;
 };
 
@@ -672,6 +675,7 @@ public:
         out_.set(key, name_of(table, value));
     }
     void constant(const char* key, const char* value) { out_.set(key, value); }
+    void raw(const char* key, const stats::json& j) { out_.set(key, j); }
     void fallback(const std::string&, const std::string&) {}
 
     template <class T>
@@ -690,17 +694,10 @@ public:
         out_.set(key, std::move(a));
     }
 
-    template <class T>
-    void values(const char* key, const std::vector<T>& items, const char*,
-                double = 0.0, double = 0.0)
+    void values(const char* key, const std::vector<bool>& items)
     {
         auto a = stats::json::array();
-        for (const T& e : items) {
-            if constexpr (std::is_arithmetic_v<T> && !std::is_same_v<T, bool>)
-                a.push(static_cast<double>(e));
-            else
-                a.push(e);
-        }
+        for (const bool e : items) a.push(e);
         out_.set(key, std::move(a));
     }
 
@@ -742,19 +739,6 @@ void as_scenario_error(Fn&& fn)
     }
 }
 
-void check(const tcp_grid_family& f, sim::tick)
-{
-    require(!f.rtts_ms.empty() && !f.queues_sdus.empty() && !f.ue_counts.empty() &&
-                !f.ccas.empty() && !f.channels.empty(),
-            "tcp_grid: every axis (rtts_ms, queues_sdus, ue_counts, ccas, "
-            "channels) needs at least one entry");
-}
-
-void check(const shared_drb_family& f, sim::tick)
-{
-    require(!f.strategies.empty(), "shared_drb.strategies needs at least one entry");
-}
-
 void check(const ecn_impairment_family& f, sim::tick)
 {
     require(!f.ccas.empty() && !f.profiles.empty() && !f.cross_options.empty(),
@@ -777,38 +761,102 @@ void check(const fault_chaos_family& f, sim::tick duration)
             "non-empty fault window inside duration_s");
 }
 
-void check(const cell_flows_family& f, sim::tick)
+// Labels become the output record's keys and the table's columns: every
+// value of an axis carries the same keys, each a scalar of one JSON type.
+// (sweep_points rejects a key that two axes write.)
+void check_labels(const sweep_family& f)
 {
-    require(!f.seeds.empty(), "cell_flows.seeds needs at least one entry");
-    require(!f.flows.empty(), "cell_flows.flows needs at least one entry");
-    as_scenario_error([&] {
-        f.cell.impair_dl.validate("cell_flows.cell.impair_dl");
-        f.cell.impair_ul.validate("cell_flows.cell.impair_ul");
-        f.cell.wred.validate("cell_flows.cell.wred");
-        for (std::size_t i = 0; i < f.cell.cross_traffic.size(); ++i)
-            f.cell.cross_traffic[i].validate("cell_flows.cell.cross_traffic[" +
-                                             std::to_string(i) + "]");
-    });
-    for (const auto& fl : f.flows)
-        require(fl.spec.ue + fl.count <= f.cell.num_ues,
-                "cell_flows.flows: flow on ue " + std::to_string(fl.spec.ue) +
-                    " with count " + std::to_string(fl.count) +
-                    " exceeds cell.num_ues (" + std::to_string(f.cell.num_ues) + ")");
+    for (std::size_t a = 0; a < f.axes.size(); ++a) {
+        const std::string at = "sweep.axes[" + std::to_string(a) + "].values[";
+        const stats::json& first = f.axes[a].values.front().label;
+        for (std::size_t i = 0; i < f.axes[a].values.size(); ++i) {
+            const stats::json& label = f.axes[a].values[i].label;
+            const std::string path = at + std::to_string(i) + "].label";
+            if (!label.is_object() || label.members().size() != first.members().size())
+                fail("", label.line(),
+                     "key \"" + path + "\" must be an object with the keys of \"" + at +
+                         "0].label\"");
+            for (const auto& [key, v] : label.members()) {
+                const stats::json* ref = first.find(key);
+                if ((!v.is_bool() && !v.is_number() && !v.is_string()) || !ref ||
+                    ref->type() != v.type())
+                    fail("", v.line(),
+                         "key \"" + path + "." + key +
+                             "\" must be a string, number or boolean, typed like \"" +
+                             at + "0].label." + key + "\"");
+            }
+        }
+    }
+}
+
+void check(const sweep_family& f, sim::tick)
+{
+    require(!f.flows.empty(), "sweep.flows needs at least one entry");
+    for (std::size_t a = 0; a < f.axes.size(); ++a) {
+        const std::string at = "sweep.axes[" + std::to_string(a) + "]";
+        require(!f.axes[a].values.empty(), at + ".values needs at least one entry");
+        for (std::size_t b = 0; b < a; ++b)
+            require(f.axes[b].name != f.axes[a].name,
+                    at + ".name: axis name \"" + f.axes[a].name + "\" is used twice");
+    }
+    const std::string err = baseline_error(f, f.baseline);
+    require(err.empty(), "key \"sweep.baseline\": " + err);
+    check_labels(f);
+    const auto points = sweep_points(f);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const sweep_point& p = points[i];
+        const std::string at =
+            "sweep point " + std::to_string(i) + " " + p.label.dump_compact() + ": ";
+        as_scenario_error([&] {
+            p.cell.impair_dl.validate(at + "cell.impair_dl");
+            p.cell.impair_ul.validate(at + "cell.impair_ul");
+            p.cell.wred.validate(at + "cell.wred");
+            for (std::size_t c = 0; c < p.cell.cross_traffic.size(); ++c)
+                p.cell.cross_traffic[c].validate(at + "cell.cross_traffic[" +
+                                                 std::to_string(c) + "]");
+        });
+        for (const auto& fl : p.flows)
+            require(fl.spec.ue + fl.count <= p.cell.num_ues,
+                    at + "flow on ue " + std::to_string(fl.spec.ue) + " with count " +
+                        std::to_string(fl.count) + " exceeds cell.num_ues (" +
+                        std::to_string(p.cell.num_ues) + ")");
+    }
 }
 
 }  // namespace
 
-std::string shared_drb_policy_name(core::shared_drb_policy p)
+std::vector<sweep_point> sweep_points(const sweep_family& f)
 {
-    return name_of(k_policies, p);
-}
-
-core::shared_drb_policy shared_drb_policy_by_name(const std::string& name)
-{
-    for (const auto& e : k_policies)
-        if (name == e.name) return e.value;
-    throw scenario_error("unknown shared-DRB policy \"" + name + "\" (valid: " +
-                         join(k_policies) + ")");
+    std::size_t n = 1;
+    for (const auto& axis : f.axes) n *= axis.values.size();
+    const std::string origin;  // parse_scenario_text prefixes its own
+    std::vector<sweep_point> points;
+    points.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        sweep_point p{f.cell, f.flows};
+        std::size_t stride = n;  // points per value of the current axis
+        for (std::size_t a = 0; a < f.axes.size(); ++a) {
+            const auto& axis = f.axes[a];
+            stride /= axis.values.size();
+            const std::size_t k = i / stride % axis.values.size();
+            const std::string at =
+                "sweep.axes[" + std::to_string(a) + "].values[" + std::to_string(k) + "]";
+            for (const auto& [key, v] : axis.values[k].label.members()) {
+                if (p.label.find(key))
+                    fail(origin, v.line(),
+                         "key \"" + at + ".label." + key + "\": label key \"" + key +
+                             "\" is already written by an earlier axis");
+                p.label.set(key, v);
+            }
+            reader r(origin, axis.values[k].set, at + ".set", -1, /*merge=*/true);
+            fields(r, p);
+            r.done();
+            if (k > 0 && axis.name == f.baseline)
+                p.baseline = static_cast<long>(i - k * stride);
+        }
+        points.push_back(std::move(p));
+    }
+    return points;
 }
 
 void scenario_spec::validate() const

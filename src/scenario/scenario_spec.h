@@ -1,18 +1,15 @@
 // JSON scenario schema ("l4span-scenario-v1"): the data-driven face of the
-// experiment harnesses. A scenario file names one of five experiment
-// *families* — each a parameterized grid the repo previously only shipped
-// compiled into a bench binary — plus the grid axes to sweep:
+// experiment harnesses. A scenario file names one of three experiment
+// *families* — each a parameterized grid — plus its parameter block:
 //
-//   tcp_grid        Fig. 9/24 methodology: CCA x channel x queue x RTT x
-//                   UE-count x {vanilla, +L4Span} congested-cell grid
-//   shared_drb      Fig. 16: shared-DRB marking strategies on one UE
+//   sweep           single-cell grid: a base cell_spec (any bottleneck AQM
+//                   incl. "wred", impairments, cross traffic, L4Span knobs)
+//                   and flow list, crossed over named axes whose values
+//                   override parts of it (Fig. 9/13/16/17/19/24, or any
+//                   custom grid)
 //   ecn_impairment  adversarial wired path: impairment profile x CCA x
 //                   cross-traffic through a core bottleneck AQM
 //   fault_chaos     multi-cell fault injection: fault class x transport
-//   cell_flows      generic single-cell scenario: a full cell_spec (any
-//                   bottleneck AQM incl. "wred", impairments, cross
-//                   traffic, L4Span knobs) + explicit flow list, swept
-//                   over seeds
 //
 // Parsing is strict: unknown keys, type mismatches and out-of-range values
 // throw scenario_error naming the offending key and its source line.
@@ -49,25 +46,48 @@ public:
 
 // --- family parameter blocks -----------------------------------------------
 
-// Fig. 9-style congested-cell grid (bench_fig09_tcp_grid).
-struct tcp_grid_family {
-    std::uint64_t seed_base = 1000;
-    std::vector<double> rtts_ms{19.0, 53.0};  // one-way server->core OWD
-    std::vector<std::size_t> queues_sdus{16384, 256};
-    std::vector<int> ue_counts{16, 64};
-    std::vector<std::string> ccas{"prague", "bbr2", "cubic"};
-    std::vector<std::string> channels{"static", "mobile"};
+// Single-cell grid: every point runs `flows` on `cell` after each axis's
+// chosen value has overridden parts of both. The points are the cross
+// product of the axes, first axis outermost.
+struct sweep_family {
+    struct flow {
+        flow_spec spec;
+        int count = 1;  // replicas on UEs spec.ue, spec.ue+1, ...
+    };
+    // `label` is an object of scalars copied into the point's output
+    // record; `set` is a partial {"cell": ..., "flows": [...]} override in
+    // scenario-file form (objects keep unspecified members, arrays of
+    // objects merge by index).
+    struct value {
+        stats::json label = stats::json::object();
+        stats::json set = stats::json::object();
+    };
+    struct axis {
+        std::string name;
+        std::vector<value> values;
+    };
+    cell_spec cell;
+    std::vector<flow> flows;
+    std::vector<axis> axes;
+    // Axis whose first value is the reference: the other points gain
+    // owd_reduction_pct / rtt_reduction_pct against the point that picks
+    // the first value of this axis and the same values elsewhere. "" = none.
+    std::string baseline;
 };
 
-// Fig. 16 shared-DRB marking strategies (bench_fig16_shared_drb).
-struct shared_drb_family {
-    struct strategy {
-        std::string label;
-        core::shared_drb_policy policy = core::shared_drb_policy::coupled;
-    };
-    std::uint64_t seed = 71;
-    std::vector<strategy> strategies;
+// One expanded sweep point: the overridden cell and flows, the merged
+// labels, and the index of its baseline point (-1 when it has none).
+struct sweep_point {
+    cell_spec cell;
+    std::vector<sweep_family::flow> flows;
+    stats::json label = stats::json::object();
+    long baseline = -1;
 };
+
+// Expands a sweep into its points, applying each axis's `set` in axis
+// order. Throws scenario_error naming a bad override's key path (and its
+// source line when the sweep was parsed).
+std::vector<sweep_point> sweep_points(const sweep_family& sweep);
 
 // Adversarial wired-path grid (bench_ecn_impairment).
 struct ecn_impairment_family {
@@ -114,20 +134,6 @@ struct fault_chaos_family {
     std::vector<transport> transports;
 };
 
-// Generic single-cell scenario: the full cell_spec surface (this is the
-// only producer of bottleneck_aqm == "wred") + an explicit flow list, each
-// entry optionally replicated `count` times onto consecutive UEs, swept
-// over `seeds` (one independent grid point per seed).
-struct cell_flows_family {
-    struct flow {
-        flow_spec spec;
-        int count = 1;  // replicas on UEs spec.ue, spec.ue+1, ...
-    };
-    std::vector<std::uint64_t> seeds{1};
-    cell_spec cell;
-    std::vector<flow> flows;
-};
-
 // --- the scenario document --------------------------------------------------
 
 struct scenario_spec {
@@ -138,15 +144,14 @@ struct scenario_spec {
     bool quick = false;     // documents which slice this file describes
     sim::tick duration = 0; // per-grid-point simulated time
 
-    tcp_grid_family tcp_grid;
-    shared_drb_family shared_drb;
+    sweep_family sweep;
     ecn_impairment_family ecn_impairment;
     fault_chaos_family fault_chaos;
-    cell_flows_family cell_flows;
 
     // Semantic validation beyond parse-time binding (non-empty axes,
-    // sub-spec consistency). Throws scenario_error. parse_scenario_text
-    // runs this; call it yourself on programmatically built specs.
+    // sub-spec consistency; a sweep builds and checks every point). Throws
+    // scenario_error. parse_scenario_text runs this; call it yourself on
+    // programmatically built specs.
     void validate() const;
 };
 
@@ -169,11 +174,5 @@ stats::json export_scenario(const scenario_spec& spec);
 // Returns 0, or 1 on I/O failure (mirrors benchutil::finish). Benches use
 // this behind --export-scenario.
 int write_scenario_file(const std::string& path, const scenario_spec& spec);
-
-// shared_drb_policy <-> schema name (original, l4s_all, classic_all,
-// coupled). The by-name direction throws scenario_error listing the valid
-// names.
-std::string shared_drb_policy_name(core::shared_drb_policy p);
-core::shared_drb_policy shared_drb_policy_by_name(const std::string& name);
 
 }  // namespace l4span::scenario

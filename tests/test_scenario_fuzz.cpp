@@ -4,8 +4,8 @@
 // document, random single-byte mutations, duplicate keys, absurd values.
 // Diagnostics must name the offending key, and export -> parse -> export
 // must be the exact identity on bytes — including for a programmatically
-// built cell_flows spec exercising the WRED surface, which no compiled-in
-// bench produces.
+// built sweep exercising the WRED surface, which no compiled-in bench
+// produces.
 #include <cstdint>
 #include <iterator>
 #include <string>
@@ -27,6 +27,9 @@ using scenario::scenario_spec;
 
 namespace {
 
+const char* const k_builtins[] = {"fig09", "fig13", "fig16", "fig17",
+                                  "fig19", "fig24", "ecn_impairment", "fault_chaos"};
+
 // parse() may accept (returning a spec) or reject with scenario_error;
 // any other exception type — or a crash — fails the campaign.
 void must_accept_or_diagnose(const std::string& text, const char* what)
@@ -41,35 +44,45 @@ void must_accept_or_diagnose(const std::string& text, const char* what)
     }
 }
 
-// A generic cell_flows scenario on the WRED dual-queue bottleneck — the
-// schema surface no bench binary can produce.
-scenario_spec wred_cell_flows_spec()
+// A sweep over seeds on the WRED dual-queue bottleneck — the schema
+// surface no bench binary can produce.
+scenario_spec wred_sweep_spec()
 {
     scenario_spec s;
     s.figure = "wred_demo";
     s.title = "WRED dual-queue cell";
     s.paper_ref = "scenario-engine demo (no paper figure)";
-    s.family = "cell_flows";
+    s.family = "sweep";
     s.quick = true;
     s.duration = sim::from_ms(1500);
-    s.cell_flows.seeds = {7, 8};
-    auto& cell = s.cell_flows.cell;
+    scenario::sweep_family::axis seeds{"seed", {}};
+    for (const int seed : {7, 8}) {
+        auto label = stats::json::object();
+        label.set("seed", seed);
+        auto cell = stats::json::object();
+        cell.set("seed", seed);
+        auto set = stats::json::object();
+        set.set("cell", cell);
+        seeds.values.push_back({label, set});
+    }
+    s.sweep.axes = {seeds};
+    auto& cell = s.sweep.cell;
     cell.num_ues = 4;
     cell.bottleneck_aqm = "wred";
     cell.wred.l4s = {4 * 1514, 32 * 1514, 1.0};
     cell.wred.classic = {16 * 1514, 128 * 1514, 0.08};
     cell.wred.ecn_drop_bytes = 1 << 20;
     cell.wred.l4s_weight = 8;
-    scenario::cell_flows_family::flow f;
+    scenario::sweep_family::flow f;
     f.spec.cca = "prague";
     f.spec.ue = 0;
     f.count = 2;
-    s.cell_flows.flows.push_back(f);
-    scenario::cell_flows_family::flow g;
+    s.sweep.flows.push_back(f);
+    scenario::sweep_family::flow g;
     g.spec.cca = "cubic";
     g.spec.ue = 2;
     g.count = 1;
-    s.cell_flows.flows.push_back(g);
+    s.sweep.flows.push_back(g);
     return s;
 }
 
@@ -125,8 +138,9 @@ TEST(scenario_fuzz, structured_soup_never_crashes)
     static const char* frags[] = {
         "{", "}", "[", "]", ":", ",", "\"", "true", "false", "null",
         "1e308", "-0.0", "1e-308", "9223372036854775807",
-        "\"schema\"", "\"l4span-scenario-v1\"", "\"family\"", "\"tcp_grid\"",
-        "\"duration_s\"", "\"cell\"", "\"wred\"", "\"flows\"", "\\u0000",
+        "\"schema\"", "\"l4span-scenario-v1\"", "\"family\"", "\"sweep\"",
+        "\"duration_s\"", "\"cell\"", "\"wred\"", "\"flows\"", "\"axes\"",
+        "\"values\"", "\"label\"", "\"set\"", "\\u0000",
     };
     sim::rng rng(0xc0ffee);
     for (int iter = 0; iter < 400; ++iter) {
@@ -202,19 +216,20 @@ TEST(scenario_fuzz, absurd_values_diagnosed_with_key)
         const char* replacement;
         const char* key_in_msg;
     };
+    // The first match of each needle: base cell and flow keys come before
+    // the axes, so "num_ues": 16, "count": 16, "seed": 1272 and "cu": "none"
+    // land inside an axis value's override.
     const edit edits[] = {
         {"\"duration_s\": 6", "\"duration_s\": -5", "duration_s"},
         {"\"duration_s\": 6", "\"duration_s\": 1e9", "duration_s"},
-        {"\"seed_base\": 1000", "\"seed_base\": 1e30", "seed_base"},
-        {"\"ue_counts\": [\n      16\n    ]", "\"ue_counts\": [\n      0\n    ]",
-         "ue_counts"},
-        {"\"ue_counts\": [\n      16\n    ]", "\"ue_counts\": []", "ue_counts"},
-        {"\"queues_sdus\": [\n      256\n    ]",
-         "\"queues_sdus\": [\n      -3\n    ]", "queues_sdus"},
-        {"\"ccas\": [\n      \"prague\"\n    ]", "\"ccas\": [\n      42\n    ]",
-         "ccas"},
-        {"\"rtts_ms\": [\n      19\n    ]",
-         "\"rtts_ms\": [\n      \"fast\"\n    ]", "rtts_ms"},
+        {"\"seed\": 1272", "\"seed\": 1e30", "set.cell.seed"},
+        {"\"num_ues\": 16", "\"num_ues\": 0", "set.cell.num_ues"},
+        {"\"count\": 16", "\"count\": 0", "set.flows[0].count"},
+        {"\"cu\": \"none\"", "\"cu\": \"off\"", "set.cell.cu"},
+        {"\"rlc_queue_sdus\": 16384", "\"rlc_queue_sdus\": -3", "rlc_queue_sdus"},
+        {"\"cca\": \"prague\"", "\"cca\": 42", "flows[0].cca"},
+        {"\"wired_owd_ms\": 19", "\"wired_owd_ms\": \"fast\"", "wired_owd_ms"},
+        {"\"baseline\": \"l4span\"", "\"baseline\": \"l4spam\"", "baseline"},
     };
     for (const auto& e : edits) {
         SCOPED_TRACE(e.replacement);
@@ -235,14 +250,14 @@ TEST(scenario_fuzz, absurd_values_diagnosed_with_key)
 
 TEST(scenario_fuzz, export_parse_export_exact_for_all_specs)
 {
-    // Builtins in both forms plus the WRED cell_flows spec: export must be
-    // a fixpoint of parse ∘ export on bytes.
+    // Builtins in both forms plus the WRED sweep: export must be a fixpoint
+    // of parse ∘ export on bytes.
     std::vector<scenario_spec> specs;
-    for (const char* name : {"fig09", "fig16", "ecn_impairment", "fault_chaos"}) {
+    for (const char* name : k_builtins) {
         specs.push_back(builtin_scenario(name, false));
         specs.push_back(builtin_scenario(name, true));
     }
-    specs.push_back(wred_cell_flows_spec());
+    specs.push_back(wred_sweep_spec());
     for (const auto& spec : specs) {
         SCOPED_TRACE(spec.figure);
         const std::string once = export_scenario(spec).dump();
@@ -254,11 +269,11 @@ TEST(scenario_fuzz, export_parse_export_exact_for_all_specs)
 
 TEST(scenario_fuzz, wred_spec_parses_back_to_wred_queue_params)
 {
-    const auto spec = wred_cell_flows_spec();
+    const auto spec = wred_sweep_spec();
     const auto reparsed =
         parse_scenario_text(export_scenario(spec).dump(), "<wred>");
-    const auto& w = reparsed.cell_flows.cell.wred;
-    EXPECT_EQ(reparsed.cell_flows.cell.bottleneck_aqm, "wred");
+    const auto& w = reparsed.sweep.cell.wred;
+    EXPECT_EQ(reparsed.sweep.cell.bottleneck_aqm, "wred");
     EXPECT_EQ(w.l4s.min_bytes, 4u * 1514);
     EXPECT_EQ(w.l4s.max_bytes, 32u * 1514);
     EXPECT_DOUBLE_EQ(w.classic.max_p, 0.08);
@@ -272,7 +287,7 @@ TEST(scenario_fuzz, every_key_type_error_names_key_path_and_line)
     // in turn given a value of the wrong JSON type: the diagnostic must
     // name that member's full key path and its source line.
     std::vector<stats::json> docs;
-    for (const char* name : {"fig09", "fig16", "ecn_impairment", "fault_chaos"})
+    for (const char* name : k_builtins)
         docs.push_back(export_scenario(builtin_scenario(name, false)));
     std::string wred_text;
     ASSERT_TRUE(stats::read_text_file(
@@ -300,7 +315,9 @@ TEST(scenario_fuzz, every_key_type_error_names_key_path_and_line)
             }
         }
     }
-    EXPECT_EQ(probed, 320);
+    // Members per document: fig09 179, fig13 125, fig16 126, fig17 124,
+    // fig19 158, fig24 162, ecn_impairment 136, fault_chaos 53, WRED 117.
+    EXPECT_EQ(probed, 1180);
 }
 
 TEST(scenario_fuzz, wred_partial_profile_keeps_config_defaults)
@@ -308,8 +325,8 @@ TEST(scenario_fuzz, wred_partial_profile_keeps_config_defaults)
     // Keys omitted from a nested object keep the struct's defaults: a
     // partial wred.l4s ramp must not collapse min/max to 0 (which would mark
     // every L4S packet from an empty queue).
-    auto spec = wred_cell_flows_spec();
-    spec.cell_flows.cell.wred = aqm::wred_dualq_config{};
+    auto spec = wred_sweep_spec();
+    spec.sweep.cell.wred = aqm::wred_dualq_config{};
     std::string text = export_scenario(spec).dump();
     const std::string needle = "\"l4s\": {";
     const auto from = text.find(needle);
@@ -317,7 +334,7 @@ TEST(scenario_fuzz, wred_partial_profile_keeps_config_defaults)
     const auto to = text.find('}', from);
     text.replace(from, to + 1 - from, "\"l4s\": {\"max_p\": 0.5}");
     const auto parsed = parse_scenario_text(text, "<partial>");
-    const auto& l4s = parsed.cell_flows.cell.wred.l4s;
+    const auto& l4s = parsed.sweep.cell.wred.l4s;
     EXPECT_EQ(l4s.min_bytes, 12112u);
     EXPECT_EQ(l4s.max_bytes, 96896u);
     EXPECT_DOUBLE_EQ(l4s.max_p, 0.5);

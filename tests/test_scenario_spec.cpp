@@ -11,7 +11,10 @@
 //   3. results are independent of --jobs (1 vs 4 on a scenario file).
 //
 // Plus: file-path round-trip via write_scenario_file/load_scenario_file,
-// and validation diagnostics naming the offending key and source line.
+// validation diagnostics naming the offending key and source line, and the
+// sweep family's expansion rules (axis order, override merging, labels,
+// baseline).
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -55,7 +58,48 @@ run_output run_captured(const scenario_spec& spec, int jobs)
     return r;
 }
 
-const char* k_builtins[] = {"fig09", "fig16", "ecn_impairment", "fault_chaos"};
+const char* k_builtins[] = {"fig09", "fig13", "fig16", "fig17",
+                            "fig19", "fig24", "ecn_impairment", "fault_chaos"};
+
+// A small sweep document: one base cell and two flows, a 2-value and a
+// 3-value axis. `axes` and `extra` are spliced in verbatim.
+std::string sweep_doc(const std::string& axes, const std::string& extra = "")
+{
+    return R"({
+  "schema": "l4span-scenario-v1",
+  "figure": "t",
+  "title": "t",
+  "paper_ref": "t",
+  "quick": true,
+  "duration_s": 0.2,
+  "family": "sweep",
+  "sweep": {
+    "cell": {"num_ues": 4, "wred": {"l4s": {"min_bytes": 1000, "max_bytes": 9000}}},
+    "flows": [{"cca": "prague", "count": 2}, {"cca": "cubic", "ue": 2}],
+    "axes": )" + axes + extra + R"(
+  }
+})";
+}
+
+const std::string k_two_axes = R"([
+      {"name": "cu", "values": [
+        {"label": {"l4span": false}, "set": {"cell": {"cu": "none"}}},
+        {"label": {"l4span": true}, "set": {}}]},
+      {"name": "seed", "values": [
+        {"label": {"seed": 1}, "set": {"cell": {"seed": 1}}},
+        {"label": {"seed": 2}, "set": {"cell": {"seed": 2}}},
+        {"label": {"seed": 3}, "set": {"cell": {"seed": 3}}}]}])";
+
+// The message of the scenario_error parsing `text` throws ("" if none).
+std::string parse_error(const std::string& text)
+{
+    try {
+        parse_scenario_text(text, "<sweep>");
+    } catch (const scenario_error& e) {
+        return e.what();
+    }
+    return "";
+}
 
 }  // namespace
 
@@ -155,21 +199,21 @@ TEST(scenario_spec, missing_file_names_the_path)
 TEST(scenario_spec, unknown_key_error_names_key_and_line)
 {
     auto doc = export_scenario(builtin_scenario("fig09", true));
-    // Inject an unknown key into the tcp_grid section and find its line.
+    // Inject an unknown key into the sweep section and find its line.
     std::string text = doc.dump();
-    const std::string needle = "\"seed_base\"";
+    const std::string needle = "\"baseline\"";
     const auto pos = text.find(needle);
     ASSERT_NE(pos, std::string::npos);
-    text.insert(pos, "\"rtts_msec\": [1.0], ");
+    text.insert(pos, "\"axis\": [], ");
     try {
         parse_scenario_text(text, "<test>");
         FAIL() << "unknown key must be rejected";
     } catch (const scenario_error& e) {
         const std::string msg = e.what();
-        EXPECT_NE(msg.find("rtts_msec"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("\"sweep.axis\""), std::string::npos) << msg;
         EXPECT_NE(msg.find("line"), std::string::npos) << msg;
         // Diagnostic lists the valid keys so the fix is one glance away.
-        EXPECT_NE(msg.find("rtts_ms"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("axes"), std::string::npos) << msg;
     }
 }
 
@@ -211,11 +255,109 @@ TEST(scenario_spec, unknown_family_lists_valid_ones)
     } catch (const scenario_error& e) {
         const std::string msg = e.what();
         EXPECT_NE(msg.find("mesh"), std::string::npos) << msg;
-        EXPECT_NE(msg.find("cell_flows"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("sweep"), std::string::npos) << msg;
     }
 }
 
 TEST(scenario_spec, builtin_unknown_name_throws)
 {
     EXPECT_THROW(builtin_scenario("fig99", false), scenario_error);
+}
+
+TEST(sweep, points_are_the_cross_product_first_axis_outermost)
+{
+    const auto spec = parse_scenario_text(sweep_doc(k_two_axes, R"(,
+    "baseline": "cu")"), "<sweep>");
+    const auto points = scenario::sweep_points(spec.sweep);
+    ASSERT_EQ(points.size(), 6u);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        SCOPED_TRACE(i);
+        const bool on = i >= 3;
+        const std::uint64_t seed = i % 3 + 1;
+        EXPECT_EQ(points[i].label.dump_compact(),
+                  std::string("{\"l4span\":") + (on ? "true" : "false") +
+                      ",\"seed\":" + std::to_string(seed) + "}");
+        EXPECT_EQ(points[i].cell.cu,
+                  on ? scenario::cu_mode::l4span : scenario::cu_mode::none);
+        EXPECT_EQ(points[i].cell.seed, seed);
+        // Each +L4Span point is compared with the vanilla point of its seed.
+        EXPECT_EQ(points[i].baseline, on ? static_cast<long>(i - 3) : -1L);
+    }
+}
+
+TEST(sweep, overrides_keep_unset_members_and_merge_arrays_by_index)
+{
+    const auto spec = parse_scenario_text(sweep_doc(R"([
+      {"name": "mix", "values": [
+        {"label": {"mix": "base"}, "set": {}},
+        {"label": {"mix": "changed"}, "set": {
+          "cell": {"num_ues": 5, "wred": {"l4s": {"max_p": 0.5}}},
+          "flows": [{}, {"cca": "reno"}, {"cca": "bbr", "ue": 4}]}}]}])"),
+                                          "<sweep>");
+    const auto points = scenario::sweep_points(spec.sweep);
+    ASSERT_EQ(points.size(), 2u);
+    const auto& base = points[0];
+    const auto& changed = points[1];
+    // A partial nested object keeps the members it does not name...
+    EXPECT_EQ(changed.cell.num_ues, 5);
+    EXPECT_EQ(changed.cell.wred.l4s.min_bytes, 1000u);
+    EXPECT_EQ(changed.cell.wred.l4s.max_bytes, 9000u);
+    EXPECT_DOUBLE_EQ(changed.cell.wred.l4s.max_p, 0.5);
+    EXPECT_DOUBLE_EQ(base.cell.wred.l4s.max_p, 1.0);
+    // ...and an array of objects merges element by element, appending past
+    // the end of the base list.
+    ASSERT_EQ(changed.flows.size(), 3u);
+    EXPECT_EQ(changed.flows[0].spec.cca, "prague");
+    EXPECT_EQ(changed.flows[0].count, 2);
+    EXPECT_EQ(changed.flows[1].spec.cca, "reno");
+    EXPECT_EQ(changed.flows[1].spec.ue, 2);
+    EXPECT_EQ(changed.flows[2].spec.cca, "bbr");
+    EXPECT_EQ(changed.flows[2].spec.ue, 4);
+    EXPECT_EQ(changed.flows[2].count, 1);
+    ASSERT_EQ(base.flows.size(), 2u);
+}
+
+TEST(sweep, bad_override_names_key_path_and_line)
+{
+    std::string axes = k_two_axes;
+    const std::string needle = R"("seed": 2}})";
+    const auto pos = axes.find(needle);
+    ASSERT_NE(pos, std::string::npos);
+    axes.replace(pos, needle.size(), R"("seed": "two"}})");
+    const std::string text = sweep_doc(axes);
+    const auto at = static_cast<long>(text.find("\"two\""));
+    const int line =
+        1 + static_cast<int>(std::count(text.begin(), text.begin() + at, '\n'));
+    const std::string msg = parse_error(text);
+    EXPECT_NE(msg.find("\"sweep.axes[1].values[1].set.cell.seed\""), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("(line " + std::to_string(line) + ")"), std::string::npos) << msg;
+
+    // An override that makes a point inconsistent fails in validation too,
+    // naming the point.
+    const std::string crowded = parse_error(sweep_doc(R"([
+      {"name": "n", "values": [
+        {"label": {"n": 1}, "set": {"cell": {"num_ues": 2}}}]}])"));
+    EXPECT_NE(crowded.find("sweep point 0 {\"n\":1}"), std::string::npos) << crowded;
+    EXPECT_NE(crowded.find("exceeds cell.num_ues"), std::string::npos) << crowded;
+}
+
+TEST(sweep, two_axes_may_not_write_one_label_key)
+{
+    const std::string msg = parse_error(sweep_doc(R"([
+      {"name": "a", "values": [{"label": {"seed": 1}, "set": {}}]},
+      {"name": "b", "values": [{"label": {"seed": 2}, "set": {}}]}])"));
+    EXPECT_NE(msg.find("\"sweep.axes[1].values[0].label.seed\""), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("earlier axis"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("(line "), std::string::npos) << msg;
+}
+
+TEST(sweep, unknown_baseline_lists_the_axes)
+{
+    const std::string msg = parse_error(sweep_doc(k_two_axes, R"(,
+    "baseline": "l4span")"));
+    EXPECT_NE(msg.find("sweep.baseline"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("valid: cu, seed"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("(line "), std::string::npos) << msg;
 }
