@@ -23,8 +23,7 @@ struct point_out {
     stats::json record;
     stats::json flows = stats::json::array();
     std::vector<std::string> row;
-    double owd_p50 = 0.0;
-    double rtt_p50 = 0.0;
+    double owd_p50 = 0.0, rtt_p50 = 0.0;  // what a baseline comparison reads
 };
 
 point_out run_sweep_point(const sweep_point& p, sim::tick duration,
@@ -141,12 +140,13 @@ int run_sweep(const scenario_spec& spec, const bench_args& args, stats::json* su
         point_out& r = results[i];
         if (has_baseline && points[i].baseline < 0) r.row.insert(r.row.end(), {"-", "-"});
         if (points[i].baseline >= 0) {
-            // 100 (1 - value / base); 0 when the baseline median is not positive.
+            // 100 (1 - p50 / base p50); 0 when the base median is not positive.
+            const auto reduction = [](double v, double b) {
+                return b > 0.0 ? 100.0 * (1.0 - v / b) : 0.0;
+            };
             const point_out& base = results[static_cast<std::size_t>(points[i].baseline)];
-            const double owd =
-                base.owd_p50 > 0.0 ? 100.0 * (1.0 - r.owd_p50 / base.owd_p50) : 0.0;
-            const double rtt =
-                base.rtt_p50 > 0.0 ? 100.0 * (1.0 - r.rtt_p50 / base.rtt_p50) : 0.0;
+            const double owd = reduction(r.owd_p50, base.owd_p50);
+            const double rtt = reduction(r.rtt_p50, base.rtt_p50);
             r.record.set("owd_reduction_pct", owd).set("rtt_reduction_pct", rtt);
             r.row.insert(r.row.end(), {stats::table::num(owd, 1) + "%",
                                        stats::table::num(rtt, 1) + "%"});

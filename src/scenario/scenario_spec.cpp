@@ -307,7 +307,6 @@ template <class V>
 void fields(V& v, sweep_family::axis& a)
 {
     v.str("name", a.name);
-    v.fallback(a.name, "axis" + std::to_string(v.index));
     v.objects("values", a.values, need::required);
 }
 
@@ -792,12 +791,16 @@ void check_labels(const sweep_family& f)
 void check(const sweep_family& f, sim::tick)
 {
     require(!f.flows.empty(), "sweep.flows needs at least one entry");
+    std::size_t n = 1;
     for (std::size_t a = 0; a < f.axes.size(); ++a) {
         const std::string at = "sweep.axes[" + std::to_string(a) + "]";
         require(!f.axes[a].values.empty(), at + ".values needs at least one entry");
         for (std::size_t b = 0; b < a; ++b)
             require(f.axes[b].name != f.axes[a].name,
                     at + ".name: axis name \"" + f.axes[a].name + "\" is used twice");
+        // validate() builds every point, so the cross product must stay small.
+        n *= f.axes[a].values.size();
+        require(n <= 10000, at + ": the axes cross to more than 10000 points");
     }
     const std::string err = baseline_error(f, f.baseline);
     require(err.empty(), "key \"sweep.baseline\": " + err);
@@ -831,7 +834,6 @@ std::vector<sweep_point> sweep_points(const sweep_family& f)
     for (const auto& axis : f.axes) n *= axis.values.size();
     const std::string origin;  // parse_scenario_text prefixes its own
     std::vector<sweep_point> points;
-    points.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
         sweep_point p{f.cell, f.flows};
         std::size_t stride = n;  // points per value of the current axis

@@ -230,6 +230,9 @@ TEST(scenario_fuzz, absurd_values_diagnosed_with_key)
         {"\"cca\": \"prague\"", "\"cca\": 42", "flows[0].cca"},
         {"\"wired_owd_ms\": 19", "\"wired_owd_ms\": \"fast\"", "wired_owd_ms"},
         {"\"baseline\": \"l4span\"", "\"baseline\": \"l4spam\"", "baseline"},
+        // The first axis's values emptied (its old list parks under a key
+        // the parser never reaches).
+        {"\"values\": [", "\"values\": [], \"v\": [", "axes[0].values"},
     };
     for (const auto& e : edits) {
         SCOPED_TRACE(e.replacement);

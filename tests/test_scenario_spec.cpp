@@ -361,3 +361,21 @@ TEST(sweep, unknown_baseline_lists_the_axes)
     EXPECT_NE(msg.find("valid: cu, seed"), std::string::npos) << msg;
     EXPECT_NE(msg.find("(line "), std::string::npos) << msg;
 }
+
+TEST(sweep, oversized_cross_product_is_rejected_before_expansion)
+{
+    // Five 10-value axes cross to 100000 points; validate() would build
+    // every one of them, so the parser must refuse first.
+    std::string axes = "[";
+    for (int a = 0; a < 5; ++a) {
+        axes += std::string(a ? "," : "") + "{\"name\": \"a" + std::to_string(a) +
+                "\", \"values\": [";
+        for (int v = 0; v < 10; ++v)
+            axes += std::string(v ? "," : "") + "{\"label\": {\"a" + std::to_string(a) +
+                    "\": " + std::to_string(v) + "}}";
+        axes += "]}";
+    }
+    axes += "]";
+    const std::string msg = parse_error(sweep_doc(axes));
+    EXPECT_NE(msg.find("more than 10000 points"), std::string::npos) << msg;
+}
