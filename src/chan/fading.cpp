@@ -1,6 +1,7 @@
 #include "chan/fading.h"
 
 #include <cmath>
+#include <utility>
 
 namespace l4span::chan {
 
@@ -37,20 +38,25 @@ double fading_channel::step(sim::tick t)
         return snr_db_;
     }
     // Ornstein-Uhlenbeck (Gauss-Markov) update with correlation
-    // rho = exp(-dt / coherence). The channel is sampled once per slot, so
-    // dt is the slot period on almost every call: memoize (rho, noise_sigma)
-    // per dt — identical inputs give identical doubles, so the memo changes
-    // nothing observable, it only skips the exp/sqrt.
+    // rho = exp(-dt / coherence). The scheduler mostly samples a channel
+    // in consecutive DL slots, so dt is one or two slot periods: memoize
+    // (rho, noise_sigma) per dt — identical inputs give identical doubles,
+    // so the memo changes nothing observable, it only skips the exp/sqrt.
     const sim::tick dt_ticks = t - last_;
-    if (dt_ticks != memo_dt_) {
-        const double dt = static_cast<double>(dt_ticks);
-        memo_rho_ = std::exp(-dt / static_cast<double>(profile_.coherence));
-        memo_sigma_ = profile_.sigma_db * std::sqrt(1.0 - memo_rho_ * memo_rho_);
-        memo_dt_ = dt_ticks;
+    if (dt_ticks != memo_[0].dt) {
+        if (dt_ticks == memo_[1].dt) {
+            std::swap(memo_[0], memo_[1]);
+        } else {
+            memo_[1] = memo_[0];
+            const double rho = std::exp(-static_cast<double>(dt_ticks) /
+                                        static_cast<double>(profile_.coherence));
+            memo_[0] = {dt_ticks, rho, profile_.sigma_db * std::sqrt(1.0 - rho * rho)};
+        }
     }
+    const ou_coeffs& c = memo_[0];
     // A zero noise sigma (rho rounded to 1) returns 0.0 without a draw.
-    const double noise = rng_.normal(0.0, memo_sigma_);
-    snr_db_ = profile_.mean_snr_db + memo_rho_ * (snr_db_ - profile_.mean_snr_db) + noise;
+    const double noise = rng_.normal(0.0, c.sigma);
+    snr_db_ = profile_.mean_snr_db + c.rho * (snr_db_ - profile_.mean_snr_db) + noise;
     last_ = t;
     return snr_db_;
 }

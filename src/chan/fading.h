@@ -37,11 +37,16 @@ private:
     channel_profile profile_;
     double snr_db_;
     sim::tick last_ = 0;
-    // Memoized OU step coefficients for the last-seen dt (the slot period
-    // in steady state, so the exp/sqrt run once, not once per sample).
-    sim::tick memo_dt_ = -1;
-    double memo_rho_ = 0.0;
-    double memo_sigma_ = 0.0;
+    // Memoized OU step coefficients for the two most recent dt values,
+    // most recent first: the DDDSU pattern alternates the sampling gap
+    // between one and two slots, so the exp/sqrt run once per gap value,
+    // not once per sample.
+    struct ou_coeffs {
+        sim::tick dt = -1;
+        double rho = 0.0;
+        double sigma = 0.0;
+    };
+    ou_coeffs memo_[2];
     sim::rng rng_;
 };
 

@@ -380,7 +380,27 @@ void gnb::on_slot()
         who.clear();
         mcs_of.clear();
         const double eff_re = 168.0 * (1.0 - 0.14) * cap_factor;
-        for (ue_ctx* u : attached_) {
+        // Round-robin with more backlogged UEs than PRBs grants at most
+        // n_prb of them a PRB, so it queries the channel only until it has
+        // n_prb candidates, walking from a position that rotates one place
+        // per such slot. Smaller cells keep the full walk from index 0.
+        const std::size_t n_att = attached_.size();
+        const auto n_prb = static_cast<std::size_t>(cfg_.mac.n_prb);
+        std::size_t start = 0;
+        std::size_t max_candidates = n_att;
+        if (!pf && n_att > n_prb) {
+            std::size_t backlogged = 0;
+            for (const ue_ctx* u : attached_) backlogged += u->backlog != 0;
+            if (backlogged > n_prb) {
+                // A position, not a slot counter: an attach or detach
+                // must not make the rotation jump.
+                start = rr_pos_ % n_att;
+                rr_pos_ = start + 1;
+                max_candidates = n_prb;
+            }
+        }
+        for (std::size_t k = 0; k < n_att && who.size() < max_candidates; ++k) {
+            ue_ctx* u = attached_[start + k < n_att ? start + k : start + k - n_att];
             if (u->backlog == 0) continue;
             const int mcs = u->fading ? u->fading->mcs(now) : u->channel->mcs(now);
             if (mcs < 0) {

@@ -244,6 +244,9 @@ private:
     rlc_tx::delay_handler on_delay_;
     rnti_t next_rnti_ = 1;
     std::uint64_t slot_count_ = 0;
+    // Round-robin rotation position over attached_: used and advanced one
+    // place in each DL slot with more backlogged UEs than PRBs.
+    std::size_t rr_pos_ = 0;
     bool started_ = false;
     // Per-slot scratch (scheduler inputs, grants, the per-UE DRB
     // round-robin list) and a small free list of chunk vectors so the

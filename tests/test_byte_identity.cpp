@@ -11,15 +11,15 @@
 // test_fault_chaos.chaos_run_is_byte_identical_for_any_worker_count.)
 //
 // The golden_digest suite goes one step further: it pins FNV-1a digests of
-// the simulated outputs of nine paths through the DL slot loop, the event
+// the simulated outputs of ten paths through the DL slot loop, the event
 // queue and the random draws (a 2-cell handover topology, a
 // proportional-fair cell, a trace-replay cell with binding PRB caps, a
 // mixed-transport cell whose pushes are dominated by RTO/PTO re-arms, the
 // fig09 grid above, the --quick ecn_impairment slice, the committed
-// fault_chaos_quick scenario, the --quick quic_interactive points and the
-// WRED example cell). A hot-path rework that claims bit-identical
-// output must reproduce these constants unchanged; only a deliberate model
-// change may re-pin them.
+// fault_chaos_quick scenario, the --quick quic_interactive points, the
+// WRED example cell and a 64-UE round-robin cell in the rotation regime).
+// A hot-path rework that claims bit-identical output must reproduce these
+// constants unchanged; only a deliberate model change may re-pin them.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -398,6 +398,32 @@ std::uint64_t wred_cell_digest()
     return d.h;
 }
 
+// A 64-UE mobile round-robin cell with one Prague or CUBIC download per UE:
+// more UEs are backlogged than the cell has PRBs, so the DL slot path
+// queries the channel only for the n_prb candidates its rotation reaches.
+std::uint64_t rotation_cell_digest()
+{
+    scenario::cell_spec cell;
+    cell.num_ues = 64;
+    cell.channel = "mobile";
+    cell.cu = scenario::cu_mode::l4span;
+    cell.seed = 67;
+    scenario::cell_scenario s(cell);
+    std::vector<int> handles;
+    for (int u = 0; u < cell.num_ues; ++u) {
+        scenario::flow_spec f;
+        f.cca = u % 2 ? "cubic" : "prague";
+        f.ue = u;
+        handles.push_back(s.add_flow(f));
+    }
+    s.run(sim::from_sec(2));
+
+    digest d;
+    add_flows(d, s, handles);
+    d.add(static_cast<std::uint64_t>(s.sim_wallclock_events()));
+    return d.h;
+}
+
 // A scenario run through the scenario engine at jobs 1: its stdout tables
 // and its JSON summary.
 std::uint64_t scenario_digest(const scenario::scenario_spec& spec)
@@ -449,6 +475,12 @@ constexpr std::uint64_t k_ecn_impairment_quick = 0xf2508d45907cac6bull;
 // Pinned on the simulator before the single-cell families became one sweep.
 constexpr std::uint64_t k_quic_interactive_quick = 0xe3bdbe24ebe7ac93ull;
 constexpr std::uint64_t k_wred_cell = 0x0a9251de404683f4ull;
+// Pinned when round-robin began querying the channel only for the n_prb
+// UEs it can grant: cells with more backlogged UEs than PRBs draw their
+// fading streams at those UEs' query instants only, so this cell's output
+// differs from the earlier every-UE-every-slot walk. The ten digests above
+// stay unchanged, which shows smaller cells still walk every UE.
+constexpr std::uint64_t k_rotation_cell = 0xf73c05e875e100c9ull;
 
 TEST(golden_digest, handover_topology_jobs1)
 {
@@ -498,6 +530,11 @@ TEST(golden_digest, quic_interactive_quick)
 TEST(golden_digest, wred_cell)
 {
     EXPECT_EQ(wred_cell_digest(), k_wred_cell);
+}
+
+TEST(golden_digest, rotation_cell)
+{
+    EXPECT_EQ(rotation_cell_digest(), k_rotation_cell);
 }
 
 }  // namespace

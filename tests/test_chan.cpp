@@ -123,6 +123,78 @@ TEST(fading, coherence_time_controls_autocorrelation)
     EXPECT_LT(autocorr(250), 0.15);
 }
 
+TEST(fading, sparse_sampling_keeps_the_ou_law)
+{
+    // A UE the scheduler queries only now and then: one channel sampled at
+    // irregular gaps of 1 to 400 slots. The exact OU transition must give
+    // the stationary mean and variance, and a lag-dt autocorrelation of
+    // exp(-dt / coherence), whatever the gaps. Each check allows five
+    // standard errors, computed from the sample count and the correlation
+    // the gap schedule itself implies.
+    const channel_profile p = channel_profile::mobile(12.0);
+    const double mu = p.mean_snr_db;
+    const double var = p.sigma_db * p.sigma_db;
+    const double coherence = static_cast<double>(p.coherence);
+    fading_channel ch(p, sim::rng(43));
+    sim::rng gaps(44);
+    const sim::tick slot = sim::from_us(500);
+
+    // Burn-in from the mean-valued start state, then N samples, each with
+    // the gap (in slots) and the OU correlation exp(-gap / coherence) that
+    // link it to the next one.
+    sim::tick t = 0;
+    for (int i = 0; i < 200; ++i) ch.snr_db(t += slot * gaps.uniform_int(1, 400));
+    constexpr std::size_t n = 40000;
+    std::vector<double> x(n);
+    std::vector<std::int64_t> gap_slots(n);
+    std::vector<double> rho(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        x[i] = ch.snr_db(t);
+        gap_slots[i] = gaps.uniform_int(1, 400);
+        rho[i] = std::exp(-static_cast<double>(slot * gap_slots[i]) / coherence);
+        t += slot * gap_slots[i];
+    }
+
+    // Correlation between samples k apart is E[rho]^k (and E[rho^2]^k for
+    // the squared deviations), which inflates the i.i.d. standard errors
+    // by (1 + r) / (1 - r).
+    double r1 = 0.0, r2 = 0.0;
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+        r1 += rho[i];
+        r2 += rho[i] * rho[i];
+    }
+    r1 /= n - 1;
+    r2 /= n - 1;
+    const double z = 5.0;
+
+    double mean = 0.0;
+    for (const double v : x) mean += v;
+    mean /= n;
+    EXPECT_NEAR(mean, mu, z * std::sqrt(var / n * (1 + r1) / (1 - r1)));
+
+    double m2 = 0.0;
+    for (const double v : x) m2 += (v - mu) * (v - mu);
+    m2 /= n;
+    EXPECT_NEAR(m2, var, z * var * std::sqrt(2.0 / n * (1 + r2) / (1 - r2)));
+
+    // Lag autocorrelation, pooled over gap bands of 100 slots: the mean
+    // normalized product of consecutive deviations must match the band's
+    // mean rho. Var[(x - mu)(y - mu)] / var^2 = 1 + rho^2 <= 2.
+    for (int band = 0; band < 4; ++band) {
+        double prod = 0.0, want = 0.0;
+        int pairs = 0;
+        for (std::size_t i = 0; i + 1 < n; ++i) {
+            if ((gap_slots[i] - 1) / 100 != band) continue;
+            prod += (x[i] - mu) * (x[i + 1] - mu) / var;
+            want += rho[i];
+            ++pairs;
+        }
+        ASSERT_GT(pairs, static_cast<int>(n / 5)) << "band " << band;
+        EXPECT_NEAR(prod / pairs, want / pairs, z * std::sqrt(2.0 / pairs))
+            << "band " << band;
+    }
+}
+
 // --- bit-exactness against reference implementations -----------------------
 
 namespace {

@@ -2,6 +2,10 @@
 // feedback, uplink return path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+
 #include "ran/gnb.h"
 
 using namespace l4span;
@@ -278,4 +282,188 @@ TEST(gnb, cached_backlog_tracks_rlc_through_harq_loss_discard_and_handover)
     // The source never asked its scheduler about the detached RNTI again.
     EXPECT_GT(queries_before, 0);
     EXPECT_EQ(queries_after, 0);
+}
+
+// --- round-robin rotation regime --------------------------------------------
+
+namespace {
+
+struct link_record {
+    rnti_t ue;
+    int mcs;
+    int prbs;
+};
+
+// A round-robin cell whose UEs all hold a deep downlink backlog for the whole
+// run, with its link log (one record per channel query) grouped by DL slot.
+struct backlogged_cell {
+    sim::event_loop loop;
+    gnb g;
+    std::map<sim::tick, std::vector<link_record>> slots;
+
+    backlogged_cell(const std::vector<chan::channel_profile>& profiles, gnb_config cfg)
+        : g(loop, cfg, sim::rng(29))
+    {
+        for (const auto& prof : profiles) g.add_drb(g.add_ue(prof), rlc_config{});
+        g.set_linklog_handler(
+            [this](rnti_t ue, sim::tick now, int mcs, int prbs, std::uint32_t) {
+                slots[now].push_back({ue, mcs, prbs});
+            });
+        g.start();
+        std::uint64_t id = 0;
+        for (rnti_t ue = 1; ue <= static_cast<rnti_t>(profiles.size()); ++ue)
+            for (int i = 0; i < 200; ++i)
+                g.deliver_downlink(data_packet(1400, ++id), ue, 1);
+        loop.run_until(sim::from_ms(200));
+    }
+};
+
+std::vector<chan::channel_profile> static_ues(int n)
+{
+    return std::vector<chan::channel_profile>(static_cast<std::size_t>(n),
+                                              chan::channel_profile::static_channel());
+}
+
+// No HARQ failures, so no retransmission claims PRBs before the fresh grants:
+// every DL slot has the full n_prb available.
+gnb_config lossless()
+{
+    gnb_config cfg;
+    cfg.mac.initial_bler = 0.0;
+    cfg.mac.retx_bler = 0.0;
+    return cfg;
+}
+
+}  // namespace
+
+TEST(gnb, round_robin_queries_at_most_n_prb_ues_per_dl_slot)
+{
+    // 64 backlogged UEs, 51 PRBs: at most 51 UEs can get a PRB in a slot,
+    // so the scheduler asks the channel about no more than that.
+    backlogged_cell cell(static_ues(64), gnb_config{});
+    ASSERT_GT(cell.slots.size(), 100u);
+    for (const auto& [t, recs] : cell.slots)
+        EXPECT_LE(recs.size(), static_cast<std::size_t>(cell.g.config().mac.n_prb))
+            << "slot at " << t;
+}
+
+TEST(gnb, round_robin_queries_every_backlogged_ue_once_in_a_small_cell)
+{
+    backlogged_cell cell(static_ues(51), gnb_config{});
+    ASSERT_GT(cell.slots.size(), 100u);
+    for (const auto& [t, recs] : cell.slots) {
+        std::set<rnti_t> seen;
+        for (const auto& r : recs) seen.insert(r.ue);
+        EXPECT_EQ(recs.size(), 51u) << "slot at " << t;
+        EXPECT_EQ(seen.size(), 51u) << "slot at " << t;
+    }
+}
+
+TEST(gnb, round_robin_rotation_grants_every_available_prb)
+{
+    backlogged_cell cell(static_ues(64), lossless());
+    ASSERT_GT(cell.slots.size(), 100u);
+    for (const auto& [t, recs] : cell.slots) {
+        int granted = 0;
+        for (const auto& r : recs) granted += r.prbs;
+        EXPECT_EQ(granted, cell.g.config().mac.n_prb) << "slot at " << t;
+    }
+}
+
+TEST(gnb, round_robin_rotation_serves_every_backlogged_ue_within_one_rotation)
+{
+    // With HARQ retransmissions claiming part of some slots, every UE still
+    // gets a PRB at least once in any 64 consecutive DL slots (one pass of
+    // the rotation over the 64 attached UEs).
+    constexpr int k_ues = 64;
+    backlogged_cell cell(static_ues(k_ues), gnb_config{});
+    std::vector<int> last_grant(k_ues + 1, -1);
+    int slot = 0;
+    int worst_gap = 0;
+    for (const auto& [t, recs] : cell.slots) {
+        for (const auto& r : recs) {
+            if (r.prbs == 0) continue;
+            worst_gap = std::max(worst_gap, slot - last_grant[r.ue]);
+            last_grant[r.ue] = slot;
+        }
+        ++slot;
+    }
+    for (rnti_t ue = 1; ue <= k_ues; ++ue) {
+        ASSERT_GE(last_grant[ue], 0) << "rnti " << ue << " never granted";
+        worst_gap = std::max(worst_gap, slot - last_grant[ue]);
+    }
+    EXPECT_LE(worst_gap, k_ues);
+}
+
+TEST(gnb, round_robin_rotation_advances_one_ue_per_slot_across_detaches)
+{
+    // The rotation position is a place in the attached list, not a slot
+    // counter, so a handover that shrinks the list does not make it jump:
+    // each DL slot's walk starts at the UE after the previous slot's start.
+    // (The walk logs its candidates in walk order, so the first record of
+    // a slot is its start.)
+    sim::event_loop loop;
+    gnb g(loop, lossless(), sim::rng(31));
+    constexpr int k_ues = 80;
+    for (int u = 0; u < k_ues; ++u)
+        g.add_drb(g.add_ue(chan::channel_profile::static_channel()), rlc_config{});
+    std::map<sim::tick, rnti_t> first;
+    g.set_linklog_handler([&](rnti_t ue, sim::tick now, int, int, std::uint32_t) {
+        first.try_emplace(now, ue);
+    });
+    g.start();
+    std::uint64_t id = 0;
+    for (rnti_t ue = 1; ue <= k_ues; ++ue)
+        for (int i = 0; i < 200; ++i) g.deliver_downlink(data_packet(1400, ++id), ue, 1);
+
+    rnti_t prev = 0;
+    int checked = 0;
+    // At most 25 detaches leave at least 55 UEs: still more backlogged UEs
+    // than PRBs.
+    for (int slot = 1; slot <= 250; ++slot) {
+        loop.run_until(slot * g.config().mac.slot);
+        const auto it = first.find(loop.now());
+        if (it == first.end()) continue;  // not a DL slot, or data not yet in
+        const std::vector<rnti_t> active = g.active_rntis();
+        if (prev != 0) {
+            const auto at = std::find(active.begin(), active.end(), prev);
+            ASSERT_NE(at, active.end());
+            const rnti_t next = std::next(at) == active.end() ? active.front() : *std::next(at);
+            EXPECT_EQ(it->second, next) << "slot " << slot;
+            ++checked;
+        }
+        prev = it->second;
+        // Every tenth slot a UE after the start leaves by handover.
+        if (slot % 10 == 0 && active.back() != prev) g.detach_ue(active.back());
+    }
+    EXPECT_GT(checked, 150);
+    EXPECT_LE(g.active_ues(), static_cast<std::size_t>(k_ues) - 20);
+}
+
+TEST(gnb, round_robin_rotation_logs_below_mcs0_ue_without_a_candidate_place)
+{
+    // UE 11 sits far below MCS0: whenever the walk reaches it, the query is
+    // logged with mcs -1 and no PRB, and the slot still gathers n_prb
+    // candidates from the other UEs.
+    std::vector<chan::channel_profile> profiles = static_ues(64);
+    const rnti_t dead = 11;
+    profiles[dead - 1] = chan::channel_profile::static_channel(-40.0);
+    backlogged_cell cell(profiles, lossless());
+    const int n_prb = cell.g.config().mac.n_prb;
+    int dead_queries = 0;
+    for (const auto& [t, recs] : cell.slots) {
+        int candidates = 0;
+        for (const auto& r : recs) {
+            if (r.ue == dead) {
+                ++dead_queries;
+                EXPECT_EQ(r.mcs, -1);
+                EXPECT_EQ(r.prbs, 0);
+            } else {
+                EXPECT_GE(r.mcs, 0);
+                ++candidates;
+            }
+        }
+        EXPECT_EQ(candidates, n_prb) << "slot at " << t;
+    }
+    EXPECT_GT(dead_queries, 0);
 }
